@@ -353,8 +353,7 @@ freeride::RunResult simulate(const BenchApp& app,
                              const sim::WanSpec& wan, NodeConfig config,
                              bool caching, util::ThreadPool* pool,
                              obs::TraceRecorder* trace,
-                             obs::Registry* metrics,
-                             freeride::EngineMode engine) {
+                             obs::Registry* metrics) {
   freeride::JobSetup setup;
   setup.dataset = app.dataset.get();
   setup.data_cluster = data_cluster;
@@ -365,7 +364,6 @@ freeride::RunResult simulate(const BenchApp& app,
   setup.config.enable_caching = caching;
   setup.trace = trace;
   setup.metrics = metrics;
-  setup.engine = engine;
   auto kernel = app.factory();
   return freeride::Runtime(pool).run(setup, *kernel);
 }
@@ -374,7 +372,7 @@ core::Profile profile_of(const BenchApp& app,
                          const sim::ClusterSpec& data_cluster,
                          const sim::ClusterSpec& compute_cluster,
                          const sim::WanSpec& wan, NodeConfig config,
-                         util::ThreadPool* pool, freeride::EngineMode engine) {
+                         util::ThreadPool* pool) {
   freeride::JobSetup setup;
   setup.dataset = app.dataset.get();
   setup.data_cluster = data_cluster;
@@ -382,7 +380,6 @@ core::Profile profile_of(const BenchApp& app,
   setup.wan = wan;
   setup.config.data_nodes = config.n;
   setup.config.compute_nodes = config.c;
-  setup.engine = engine;
   auto kernel = app.factory();
   return core::ProfileCollector::collect(setup, *kernel, pool);
 }

@@ -101,9 +101,7 @@ struct FigureObs {
 /// process-wide shared pool (hardware concurrency) for its two-level
 /// reduction; pass nullptr for a fully serial reference run — the result is
 /// bit-identical either way (DESIGN.md §11). `trace`/`metrics` (optional)
-/// are handed to the runtime as its observability sinks. `engine` selects
-/// the simulation core; Event and PhaseLoop are byte-identical by contract
-/// (tests/test_engine_swap.cpp).
+/// are handed to the runtime as its observability sinks.
 freeride::RunResult simulate(const BenchApp& app,
                              const sim::ClusterSpec& data_cluster,
                              const sim::ClusterSpec& compute_cluster,
@@ -111,19 +109,15 @@ freeride::RunResult simulate(const BenchApp& app,
                              bool caching = false,
                              util::ThreadPool* pool = &shared_pool(),
                              obs::TraceRecorder* trace = nullptr,
-                             obs::Registry* metrics = nullptr,
-                             freeride::EngineMode engine =
-                                 freeride::EngineMode::Event);
+                             obs::Registry* metrics = nullptr);
 
 /// Collects the prediction-model profile for one configuration (same pool
-/// and engine semantics as simulate()).
+/// semantics as simulate()).
 core::Profile profile_of(const BenchApp& app,
                          const sim::ClusterSpec& data_cluster,
                          const sim::ClusterSpec& compute_cluster,
                          const sim::WanSpec& wan, NodeConfig config,
-                         util::ThreadPool* pool = &shared_pool(),
-                         freeride::EngineMode engine =
-                             freeride::EngineMode::Event);
+                         util::ThreadPool* pool = &shared_pool());
 
 /// Figures 2–6: base profile at 1-1, all three prediction models across
 /// the grid, one table. The grid's exact runs execute concurrently on

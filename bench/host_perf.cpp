@@ -43,7 +43,7 @@
 //                     budget instead of the dataset size (CI gate)
 //
 // Wall-clock readings go through util::Stopwatch, the single sanctioned
-// clock access point (tools/fgplint enforces this).
+// clock access point (fgpcheck's wall-clock rule bans the rest in src/).
 #include <algorithm>
 #include <cmath>
 #include <cstring>

@@ -46,7 +46,7 @@
 //                   (fgpred-servicelat-v1, the BENCH_servicelat.json feed)
 //
 // Wall-clock readings go through util::Stopwatch, the single sanctioned
-// clock access point (tools/fgplint enforces this).
+// clock access point (fgpcheck's wall-clock rule bans the rest in src/).
 #include <algorithm>
 #include <cstring>
 #include <fstream>

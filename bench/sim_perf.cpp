@@ -30,7 +30,7 @@
 //                  (fgpred-metrics-v1)
 //
 // Wall-clock readings go through util::Stopwatch, the single sanctioned
-// clock access point (tools/fgplint enforces this).
+// clock access point (fgpcheck's wall-clock rule bans the rest in src/).
 #include <cstring>
 #include <fstream>
 #include <iostream>

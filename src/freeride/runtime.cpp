@@ -10,7 +10,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/event_engine.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -72,68 +71,6 @@ struct PrefetchDrain {
   ~PrefetchDrain() { drain(); }
 };
 
-/// Sequences one pass's per-node phase completions through either
-/// simulation core (EngineMode). complete() records a `dur`-second
-/// completion for `node` whose phase accumulator is *acc:
-///
-///   PhaseLoop  folds max(*acc, dur) inline, in call order — the
-///              pre-engine reference behaviour, byte for byte.
-///   Event      schedules the completion on the event engine at
-///              now() + dur and defers the fold to drain(), which
-///              dispatches the queue in the canonical total order
-///              (time, seq, node, kind).
-///
-/// Both modes fold max over the same duration set, and max over doubles
-/// is order-insensitive, so the two cores agree bit-for-bit on every
-/// accumulator — the engine-swap contract (DESIGN.md §18).
-class PhaseDriver {
- public:
-  explicit PhaseDriver(sim::EventEngine* engine) : engine_(engine) {}
-
-  void complete(int node, sim::EventKind kind, double dur, double* acc) {
-    if (engine_ == nullptr) {
-      *acc = std::max(*acc, dur);
-      return;
-    }
-    engine_->schedule_after(dur, node, kind, pending_.size());
-    pending_.push_back({dur, acc});
-  }
-
-  /// Dispatches every pending completion (canonical order) and applies
-  /// its fold. The virtual clock ends at the phase's finish time.
-  void drain() {
-    if (engine_ == nullptr) return;
-    while (!engine_->empty()) {
-      const sim::Event ev = engine_->pop();
-      const Pending& p = pending_[static_cast<std::size_t>(ev.payload)];
-      *p.acc = std::max(*p.acc, p.dur);
-    }
-    pending_.clear();
-  }
-
-  /// Pass boundary: dispatches a Barrier and realigns the virtual clock
-  /// to `time`, the accounting chain's pass cursor (vclock). The chained
-  /// per-phase sums the clock accumulated and the additive
-  /// TimingBreakdown::total() may disagree in the final ulp (FP
-  /// association), so the accounting chain owns the canonical value and
-  /// the engine adopts it here — §18's virtual-clock ownership rule.
-  void barrier(double time) {
-    if (engine_ == nullptr) return;
-    engine_->schedule(std::max(time, engine_->now()), obs::kJobNode,
-                      sim::EventKind::Barrier);
-    (void)engine_->pop();
-    engine_->reset(time);
-  }
-
- private:
-  struct Pending {
-    double dur;
-    double* acc;
-  };
-  sim::EventEngine* engine_;
-  std::vector<Pending> pending_;
-};
-
 std::vector<NodeVolume> volumes(const repository::ChunkedDataset& ds,
                                 const PartitionMap& pm) {
   std::vector<NodeVolume> v(static_cast<std::size_t>(pm.parts()));
@@ -152,6 +89,15 @@ std::vector<NodeVolume> volumes(const repository::ChunkedDataset& ds,
 RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
   FGP_CHECK_MSG(setup.dataset != nullptr, "JobSetup.dataset is null");
   setup.config.validate();
+  // A NaN or negative spec field must fail typed here: the phase folds
+  // below are std::max, which would silently drop it.
+  setup.data_cluster.validate();
+  setup.compute_cluster.validate();
+  setup.wan.validate();
+  if (setup.cache_site) {
+    setup.cache_site->cluster.validate();
+    setup.cache_site->wan_to_compute.validate();
+  }
   const auto& ds = *setup.dataset;
   const JobConfig& cfg = setup.config;
   const int n = cfg.data_nodes;
@@ -189,12 +135,6 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
   obs::TraceRecorder* const trace = setup.trace;
   obs::Registry* const metrics = setup.metrics;
   const obs::HostSpan run_span(trace, "runtime", "run");
-
-  // Simulation core (EngineMode): the discrete-event engine sequences the
-  // pass loop by default; PhaseLoop keeps the pre-engine reference fold.
-  std::optional<sim::EventEngine> engine;
-  if (setup.engine == EngineMode::Event) engine.emplace();
-  PhaseDriver phases(engine ? &*engine : nullptr);
 
   // WAN counter handles, resolved on first use (one map walk per pipe per
   // run instead of three per node per phase).
@@ -281,17 +221,16 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
     rec.from_cache = cached_pass;
 
     // --- Phase 1: data retrieval -------------------------------------
-    // Every branch records one DiskSegmentDone completion per node with
-    // chunks to read; the slowest completion is the phase time.
+    // Every node with chunks to read charges one retrieval segment; the
+    // phase takes as long as its slowest node (DESIGN.md §4).
     if (cached_pass && cache_mode == CacheMode::LocalDisk) {
       // Each compute node reads its chunks back from local disk.
       for (int j = 0; j < c; ++j) {
         const auto& cache = caches.node(j);
         if (cache.chunk_count() == 0) continue;
-        phases.complete(j, sim::EventKind::DiskSegmentDone,
-                        compute_machine.disk.access_time(
-                            cache.virtual_bytes(), cache.chunk_count()),
-                        &rec.timing.disk);
+        rec.timing.disk = std::max(
+            rec.timing.disk, compute_machine.disk.access_time(
+                                 cache.virtual_bytes(), cache.chunk_count()));
       }
     } else if (cached_pass) {
       // The non-local cache site's nodes read their partitions.
@@ -300,12 +239,11 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
       for (int d = 0; d < cache_nodes; ++d) {
         const auto& v = cache_vol[static_cast<std::size_t>(d)];
         if (v.chunks == 0) continue;
-        phases.complete(d, sim::EventKind::DiskSegmentDone,
-                        site.cluster.machine.disk.startup_s +
-                            static_cast<double>(v.chunks) *
-                                site.cluster.machine.disk.seek_s +
-                            v.virtual_bytes / bw,
-                        &rec.timing.disk);
+        rec.timing.disk = std::max(
+            rec.timing.disk, site.cluster.machine.disk.startup_s +
+                                 static_cast<double>(v.chunks) *
+                                     site.cluster.machine.disk.seek_s +
+                                 v.virtual_bytes / bw);
       }
     } else {
       // Each data-server node reads its partition; the shared storage
@@ -314,12 +252,11 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
       for (int d = 0; d < n; ++d) {
         const auto& v = data_vol[static_cast<std::size_t>(d)];
         if (v.chunks == 0) continue;
-        phases.complete(d, sim::EventKind::DiskSegmentDone,
-                        data_machine.disk.startup_s +
-                            static_cast<double>(v.chunks) *
-                                data_machine.disk.seek_s +
-                            v.virtual_bytes / bw,
-                        &rec.timing.disk);
+        rec.timing.disk = std::max(
+            rec.timing.disk, data_machine.disk.startup_s +
+                                 static_cast<double>(v.chunks) *
+                                     data_machine.disk.seek_s +
+                                 v.virtual_bytes / bw);
       }
 
       if (cfg.verify_chunks && result.passes == 0) {
@@ -341,14 +278,12 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
         }
       }
     }
-    phases.drain();
 
     // --- Phase 2: data communication ---------------------------------
-    // Per-node transfer segments (NicSegmentDone). Cache population rides
-    // along on the first pass: its forward transfers and cache writes fold
-    // into cache_tx / cache_tw and are added onto the phase totals once
-    // the phase's event set has drained — the same values, in the same
-    // order, as the reference fold.
+    // One transfer segment per sending node; the slowest sets the phase
+    // time. Cache population rides along on the first pass: its slowest
+    // forward transfer and slowest cache write (cache_tx / cache_tw) add
+    // onto the network and disk totals.
     double cache_tx = 0.0, cache_tw = 0.0;
     if (cached_pass && cache_mode == CacheMode::NonLocalSite) {
       // Cache site -> compute nodes over the cache pipe.
@@ -356,22 +291,20 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
       for (int d = 0; d < cache_nodes; ++d) {
         const auto& v = cache_vol[static_cast<std::size_t>(d)];
         if (v.chunks == 0) continue;
-        phases.complete(d, sim::EventKind::NicSegmentDone,
-                        cache_pipe.transfer(
-                            site.wan_to_compute, v.virtual_bytes, v.chunks,
-                            cache_nodes,
-                            site.cluster.machine.nic.bandwidth_Bps),
-                        &rec.timing.network);
+        rec.timing.network = std::max(
+            rec.timing.network,
+            cache_pipe.transfer(site.wan_to_compute, v.virtual_bytes,
+                                v.chunks, cache_nodes,
+                                site.cluster.machine.nic.bandwidth_Bps));
       }
     } else if (!cached_pass) {
       for (int d = 0; d < n; ++d) {
         const auto& v = data_vol[static_cast<std::size_t>(d)];
         if (v.chunks == 0) continue;
-        phases.complete(d, sim::EventKind::NicSegmentDone,
-                        repo_pipe.transfer(setup.wan, v.virtual_bytes,
-                                           v.chunks, n,
-                                           data_machine.nic.bandwidth_Bps),
-                        &rec.timing.network);
+        rec.timing.network = std::max(
+            rec.timing.network,
+            repo_pipe.transfer(setup.wan, v.virtual_bytes, v.chunks, n,
+                               data_machine.nic.bandwidth_Bps));
       }
 
       // Populate the cache during the first pass.
@@ -383,10 +316,8 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
             caches.insert(j, ds.chunk(ci));
           const auto& v = dest_vol[static_cast<std::size_t>(j)];
           if (cfg.charge_cache_write && v.chunks > 0)
-            phases.complete(j, sim::EventKind::DiskSegmentDone,
-                            compute_machine.disk.access_time(v.virtual_bytes,
-                                                             v.chunks),
-                            &cache_tw);
+            cache_tw = std::max(cache_tw, compute_machine.disk.access_time(
+                                              v.virtual_bytes, v.chunks));
         }
         caches.mark_warm();
       } else if (cache_mode == CacheMode::NonLocalSite && !caches.warm()) {
@@ -397,24 +328,21 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
         for (int d = 0; d < cache_nodes; ++d) {
           const auto& v = cache_vol[static_cast<std::size_t>(d)];
           if (v.chunks == 0) continue;
-          phases.complete(d, sim::EventKind::NicSegmentDone,
-                          forward_pipe.transfer(
-                              site.wan_to_compute, v.virtual_bytes, v.chunks,
-                              cache_nodes,
-                              compute_machine.nic.bandwidth_Bps),
-                          &cache_tx);
+          cache_tx = std::max(
+              cache_tx, forward_pipe.transfer(site.wan_to_compute,
+                                              v.virtual_bytes, v.chunks,
+                                              cache_nodes,
+                                              compute_machine.nic.bandwidth_Bps));
           if (cfg.charge_cache_write)
-            phases.complete(d, sim::EventKind::DiskSegmentDone,
-                            site.cluster.machine.disk.startup_s +
-                                static_cast<double>(v.chunks) *
-                                    site.cluster.machine.disk.seek_s +
-                                v.virtual_bytes / write_bw,
-                            &cache_tw);
+            cache_tw = std::max(cache_tw,
+                                site.cluster.machine.disk.startup_s +
+                                    static_cast<double>(v.chunks) *
+                                        site.cluster.machine.disk.seek_s +
+                                    v.virtual_bytes / write_bw);
         }
         caches.mark_warm();
       }
     }
-    phases.drain();
     rec.timing.network += cache_tx;
     rec.timing.disk += cache_tw;
 
@@ -575,14 +503,13 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
     prefetch_drain.drain();
 
     // Work partials fold in node order (FP-ordered); the phase time is the
-    // slowest node's ComputeBlockDone completion.
+    // slowest node's.
     for (int j = 0; j < c; ++j) {
       const auto uj = static_cast<std::size_t>(j);
       result.total_work += node_work[uj];
-      phases.complete(j, sim::EventKind::ComputeBlockDone, node_time[uj],
-                      &rec.timing.compute_local);
+      rec.timing.compute_local =
+          std::max(rec.timing.compute_local, node_time[uj]);
     }
-    phases.drain();
     rec.node_compute.assign(node_time.begin(), node_time.end());
 
     // --- Phase 3b: reduction-object gather + merge (serialized) ------
@@ -680,7 +607,6 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
       metrics->set_max("runtime.max_object_bytes", rec.max_object_bytes);
     }
     vclock += rec.timing.total();
-    phases.barrier(vclock);
 
     result.timing.elapsed += rec.elapsed;
     result.timing.total += rec.timing;
@@ -691,7 +617,6 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
     result.result = std::move(objects[0]);
   }
 
-  if (engine) engine->flush_counters(metrics);
   return result;
 }
 

@@ -46,19 +46,6 @@ struct CacheSiteSetup {
 /// How a multi-pass job's later passes were actually served.
 enum class CacheMode { None, LocalDisk, NonLocalSite };
 
-/// Which simulation core sequences the pass loop.
-///
-///   Event      the deterministic discrete-event engine (sim::EventEngine):
-///              per-node phase completions are scheduled as virtual-time
-///              events and accounting folds in canonical dispatch order
-///              (time, seq, node, kind). The default.
-///   PhaseLoop  the pre-engine phase-structured loop: accounting folds
-///              inline at each call site, no event queue. Kept as the
-///              reference implementation — both modes must produce
-///              byte-identical timings, traces, metrics and residuals
-///              (tests/test_engine_swap.cpp pins this; DESIGN.md §18).
-enum class EngineMode { Event, PhaseLoop };
-
 /// Everything a job needs: the data, where it lives, where it runs, and
 /// the pipe in between.
 struct JobSetup {
@@ -70,10 +57,6 @@ struct JobSetup {
   /// Optional non-local cache site used when the compute nodes' local
   /// cache capacity cannot hold their share of the dataset.
   std::optional<CacheSiteSetup> cache_site;
-
-  /// Simulation core for the pass loop (see EngineMode). Swapping modes
-  /// never changes any result, timing or deterministic export byte.
-  EngineMode engine = EngineMode::Event;
 
   /// Observability sinks, both off (null) by default. The runtime records
   /// virtual-time phase spans / deterministic metrics from its master
@@ -120,8 +103,8 @@ class Runtime {
   explicit Runtime(util::ThreadPool* pool) : shared_pool_(pool) {}
 
   /// Runs `kernel` over `setup`. Throws util::ConfigError for invalid
-  /// configurations and util::Error for corrupted chunks (when
-  /// config.verify_chunks is set).
+  /// configurations or cluster/WAN/cache-site specs, and util::Error for
+  /// corrupted chunks (when config.verify_chunks is set).
   RunResult run(const JobSetup& setup, ReductionKernel& kernel) const;
 
  private:

@@ -1,12 +1,13 @@
 // event_engine.h — the deterministic discrete-event simulation core.
 //
-// The phase-structured engine the repo started from does work proportional
-// to nodes × phases per pass, which caps scenario scale at the paper's
-// 8×16 grid. This engine replaces the time axis with a virtual-time event
-// queue: simulated cost scales with the number of *events* (state
-// changes), so a thousand-machine grid where almost nothing changes per
-// step costs almost nothing to simulate (bench/sim_perf measures the
-// 128→4,096-node ladder).
+// A virtual-time event queue for scenarios the runtime's closed-form phase
+// accounting cannot express: contended WAN pipes whose senders join and
+// leave at different times (SharedPipe below). Simulated cost scales with
+// the number of *events* (state changes), so a thousand-machine grid
+// where almost nothing changes per step costs almost nothing to simulate
+// (bench/sim_perf measures the 128→4,096-node ladder). The freeride
+// runtime does not use it: a phase costs its slowest node, a max its pass
+// loop folds inline.
 //
 // Determinism contract (DESIGN.md §18): events dispatch in the canonical
 // total order (time, sequence, node_id, event_kind). `sequence` is the
@@ -50,8 +51,8 @@ enum class EventKind : std::uint8_t {
 
 const char* to_string(EventKind kind);
 
-/// One scheduled occurrence. `payload` is caller-owned (the runtime stores
-/// dense node slots, SharedPipe stores transfer-id | epoch).
+/// One scheduled occurrence. `payload` is caller-owned (SharedPipe stores
+/// transfer-id | epoch).
 struct Event {
   double time = 0.0;
   std::uint64_t seq = 0;

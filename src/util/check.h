@@ -45,7 +45,7 @@ namespace detail {
 [[noreturn]] inline void assert_failure(const char* expr, const char* file,
                                         int line, const char* msg) {
   // Last words before abort(): the one place a library writes to stderr.
-  std::fprintf(stderr, "fgpred internal invariant violated: %s at %s:%d%s%s\n",  // fgplint: allow(console-io)
+  std::fprintf(stderr, "fgpred internal invariant violated: %s at %s:%d%s%s\n",  // fgpcheck: allow(console-io)
                expr, file, line, msg[0] ? " — " : "", msg);
   std::abort();
 }

@@ -1,11 +1,12 @@
 // wallclock.h — the single sanctioned wall-clock access point in fgpred.
 //
 // Determinism invariant: everything outside util/ charges *virtual* time
-// through the phase engine (sim::MachineSpec and friends); real wall-clock
-// readings are only legitimate where the point is to measure the host
-// machine itself (least-squares calibration, benchmark harnesses). Those
-// callers go through this stopwatch so that tools/fgplint can mechanically
-// forbid every direct std::chrono clock use outside src/util/.
+// through the runtime's phase accounting (sim::MachineSpec and friends);
+// real wall-clock readings are only legitimate where the point is to
+// measure the host machine itself (least-squares calibration, benchmark
+// harnesses). Those callers go through this stopwatch so that fgpcheck's
+// wall-clock rule can forbid every direct clock use in src/ outside
+// src/util/.
 #pragma once
 
 #include <chrono>

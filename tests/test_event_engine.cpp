@@ -56,9 +56,10 @@ TEST(EventEngine, PopsInCanonicalOrderRegardlessOfInsertion) {
   for (std::size_t i = 0; i < popped.size(); ++i) {
     EXPECT_EQ(popped[i].seq, inserted[i].seq) << "position " << i;
     EXPECT_EQ(popped[i].payload, inserted[i].payload);
-    if (i > 0)
+    if (i > 0) {
       EXPECT_TRUE(event_order_less(popped[i - 1], popped[i]))
           << "dispatch not strictly increasing at " << i;
+    }
   }
 }
 

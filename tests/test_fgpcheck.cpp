@@ -57,6 +57,10 @@ std::vector<std::pair<std::string, std::size_t>> rule_lines(
 
 using RL = std::vector<std::pair<std::string, std::size_t>>;
 
+RL findings_of(const std::string& name, const std::string& virtual_path) {
+  return rule_lines(analyze_fixture(name, virtual_path).findings);
+}
+
 // ---------------------------------------------------------------------------
 // parallel-capture
 
@@ -227,6 +231,100 @@ TEST(FgpcheckAllow, NamedAllowSuppressesAndIsCounted) {
 }
 
 // ---------------------------------------------------------------------------
+// hygiene rules: one positive and one negative fixture each, plus the
+// path scope the rule binds
+
+TEST(FgpcheckWallClock, FlagsRealTimeInSrcButNotInUtil) {
+  const RL expected = {{"wall-clock", 4},
+                       {"wall-clock", 7},
+                       {"wall-clock", 8},
+                       {"wall-clock", 9},
+                       {"wall-clock", 14}};
+  EXPECT_EQ(findings_of("wall_clock_pos.cpp", "src/core/fixture.cpp"),
+            expected);
+  EXPECT_EQ(findings_of("wall_clock_neg.cpp", "src/core/fixture.cpp"), RL{});
+  // util::Stopwatch lives in src/util/, the one sanctioned clock access.
+  EXPECT_EQ(findings_of("wall_clock_pos.cpp", "src/util/fixture.cpp"), RL{});
+}
+
+TEST(FgpcheckUnseededRng, FlagsAmbientRandomnessInSrcOnly) {
+  const RL expected = {
+      {"unseeded-rng", 6}, {"unseeded-rng", 7}, {"unseeded-rng", 8}};
+  EXPECT_EQ(findings_of("unseeded_rng_pos.cpp", "src/datagen/fixture.cpp"),
+            expected);
+  EXPECT_EQ(findings_of("unseeded_rng_neg.cpp", "src/datagen/fixture.cpp"),
+            RL{});
+  EXPECT_EQ(findings_of("unseeded_rng_pos.cpp", "tests/fixture.cpp"), RL{});
+}
+
+TEST(FgpcheckNakedNew, FlagsNewAndDeleteEverywhere) {
+  const RL expected = {{"naked-new", 7}, {"naked-new", 9}};
+  EXPECT_EQ(findings_of("naked_new_pos.cpp", "src/freeride/fixture.cpp"),
+            expected);
+  EXPECT_EQ(findings_of("naked_new_pos.cpp", "bench/fixture.cpp"), expected);
+  EXPECT_EQ(findings_of("naked_new_neg.cpp", "src/freeride/fixture.cpp"),
+            RL{});
+}
+
+TEST(FgpcheckHeaderHygiene, FlagsHeadersWithoutPragmaOnce) {
+  EXPECT_EQ(findings_of("header_hygiene_pos.h", "src/core/fixture.h"),
+            (RL{{"header-hygiene", 1}}));
+  EXPECT_EQ(findings_of("header_hygiene_neg.h", "src/core/fixture.h"), RL{});
+  // Only headers need the pragma.
+  EXPECT_EQ(findings_of("header_hygiene_pos.h", "src/core/fixture.cpp"),
+            RL{});
+}
+
+TEST(FgpcheckCheckConvention, FlagsRawAssertsAbortsAndStdExceptions) {
+  const RL expected = {{"check-convention", 3},
+                       {"check-convention", 8},
+                       {"check-convention", 9},
+                       {"check-convention", 10}};
+  EXPECT_EQ(findings_of("check_convention_pos.cpp", "src/core/fixture.cpp"),
+            expected);
+  EXPECT_EQ(findings_of("check_convention_neg.cpp", "src/core/fixture.cpp"),
+            RL{});
+  // util/check.h itself is built on the primitives; outside src/ only
+  // assert() and <cassert> are banned.
+  EXPECT_EQ(findings_of("check_convention_pos.cpp", "src/util/fixture.cpp"),
+            RL{});
+  EXPECT_EQ(findings_of("check_convention_pos.cpp", "tests/fixture.cpp"),
+            (RL{{"check-convention", 3}, {"check-convention", 8}}));
+}
+
+TEST(FgpcheckConsoleIo, FlagsLibrariesAndTestsButNotBench) {
+  const RL expected = {{"console-io", 6},
+                       {"console-io", 7},
+                       {"console-io", 8},
+                       {"console-io", 9}};
+  EXPECT_EQ(findings_of("console_io_pos.cpp", "src/obs/fixture.cpp"),
+            expected);
+  EXPECT_EQ(findings_of("console_io_pos.cpp", "tests/fixture.cpp"), expected);
+  EXPECT_EQ(findings_of("console_io_neg.cpp", "src/obs/fixture.cpp"), RL{});
+  // bench/, tools/ and examples/ own stdout and stderr.
+  EXPECT_EQ(findings_of("console_io_pos.cpp", "bench/fixture.cpp"), RL{});
+}
+
+TEST(FgpcheckPayloadConstCast, FlagsWritesThroughPayloadViews) {
+  EXPECT_EQ(findings_of("payload_const_cast_pos.cpp",
+                        "src/repository/fixture.cpp"),
+            (RL{{"payload-const-cast", 6}}));
+  EXPECT_EQ(findings_of("payload_const_cast_neg.cpp",
+                        "src/repository/fixture.cpp"),
+            RL{});
+}
+
+TEST(FgpcheckFormatting, FlagsTabsTrailingSpaceCrlfAndMissingNewline) {
+  const RL expected = {{"formatting", 3},
+                       {"formatting", 5},
+                       {"formatting", 6},
+                       {"formatting", 7}};
+  EXPECT_EQ(findings_of("formatting_pos.cpp", "examples/fixture.cpp"),
+            expected);
+  EXPECT_EQ(findings_of("formatting_neg.cpp", "examples/fixture.cpp"), RL{});
+}
+
+// ---------------------------------------------------------------------------
 // tokenizer hostility (fixtures on disk)
 
 TEST(FgpcheckTokenizer, UnterminatedRawStringIsDiagnosedNotFatal) {
@@ -252,7 +350,7 @@ TEST(FgpcheckTokenizer, TenMegabyteSingleLineFileTerminatesQuickly) {
   std::string src = "int main() { return 0";
   src.reserve(10u << 20);
   while (src.size() < (10u << 20)) src += " + 0x7f + kConstant";
-  src += "; }";
+  src += "; }\n";
   const auto t0 = std::chrono::steady_clock::now();
   const auto tr = fgpcheck::tokenize(src, "huge.cpp");
   const auto fa = fgpcheck::analyze_source(src, "src/apps/huge.cpp", {});

@@ -3,6 +3,8 @@
 // injection — all with the controllable SumKernel.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "freeride/cache.h"
 #include "freeride/config.h"
 #include "freeride/runtime.h"
@@ -135,6 +137,18 @@ TEST(Runtime, RejectsInvalidSetups) {
     setup.config.compute_nodes = setup.compute_cluster.max_nodes + 1;
     setup.config.data_nodes = 1;
     EXPECT_THROW(runtime.run(setup, kernel), util::Error);
+  }
+}
+
+TEST(Runtime, RejectsNanOrNegativeSpecFieldsTyped) {
+  // A NaN or negative spec field must not fold into the phase accounting
+  // (std::max drops NaN): the run fails with a typed error instead.
+  const auto ds = make_sum_dataset(16, 100);
+  for (const double seek_s : {std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    auto setup = pentium_setup(&ds, 2, 4);
+    setup.data_cluster.machine.disk.seek_s = seek_s;
+    SumKernel kernel;
+    EXPECT_THROW(Runtime().run(setup, kernel), util::Error) << seek_s;
   }
 }
 

@@ -1,14 +1,14 @@
-// fgpcheck — contract-aware static analyzer for the determinism,
-// reduction and layering contracts (DESIGN.md §14).
+// fgpcheck — the repo's one static analyzer: the determinism, reduction
+// and layering contracts plus the project hygiene rules (DESIGN.md §14).
 //
-// fgplint (tools/fgplint.cpp) bans token-level nondeterminism sources with
-// line regexes; fgpcheck enforces the contracts a regex cannot express. It
-// tokenizes each translation unit and runs a lightweight per-function /
+// It tokenizes each translation unit and runs a lightweight per-function /
 // per-lambda scope analyzer — no type checker, no preprocessor — tuned so
 // that every rule is cheap, linear in the source size, and safe on hostile
 // input (the tokenizer diagnoses malformed files instead of crashing).
+// Token rules never match inside comments or literals; only formatting
+// and the allow annotations read the raw lines.
 //
-// Rules (each maps to a DESIGN contract; see DESIGN.md §14 for the table):
+// Contract rules (each maps to a DESIGN contract; see DESIGN.md §14):
 //   parallel-capture     a lambda passed to ThreadPool::parallel_for /
 //                        ThreadPool::submit (or a known fan-out wrapper)
 //                        that captures by reference and assigns to a
@@ -38,6 +38,30 @@
 //                        upward or same-rank cross-module includes are
 //                        cycles waiting to happen and are rejected at the
 //                        source level (§14).
+//
+// Hygiene rules (token bans with a path scope, plus raw-line checks):
+//   wall-clock           std::chrono clocks, C time functions and <ctime>
+//                        in src/ outside src/util/ — virtual time comes
+//                        from the runtime's phase accounting; real timing
+//                        goes through util::Stopwatch (§9).
+//   unseeded-rng         std::rand / srand / std::random_device in src/ —
+//                        all randomness derives from explicit seeds.
+//   naked-new            `new` / `delete` expressions anywhere (`= delete`
+//                        on special members is fine).
+//   header-hygiene       a .h without #pragma once.
+//   check-convention     assert() / <cassert> outside src/util/, and
+//                        abort() or `throw std::...` in src/ outside
+//                        src/util/ — use util/check.h and typed
+//                        fgp::util::Error subclasses.
+//   console-io           std::cout / cerr / clog and printf-family calls
+//                        in src/ and tests/ — only tools/, bench/ and
+//                        examples/ own stdout/stderr.
+//   payload-const-cast   const_cast on a line naming a payload anywhere —
+//                        payload slabs are shared immutable views (§13).
+//   formatting           tabs, trailing whitespace, CRLF, or no newline at
+//                        end of file anywhere.
+//
+// Diagnostics:
 //   tokenizer            malformed input the tokenizer cannot recover
 //                        from (unterminated string / raw string / block
 //                        comment) — diagnosed, never a crash or a hang.

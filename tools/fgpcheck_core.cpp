@@ -773,6 +773,164 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.substr(0, prefix.size()) == prefix;
 }
 
+// ---------------------------------------------------------------------------
+// Hygiene bans: identifiers, calls and system headers with a path scope
+
+/// Where a ban binds (repo-relative paths).
+enum class Scope {
+  Everywhere,
+  Src,          ///< src/
+  SrcButUtil,   ///< src/ outside src/util/
+  AllButUtil,   ///< every scanned file outside src/util/
+  SrcAndTests,  ///< src/ and tests/ — tools, bench and examples own stdio
+};
+
+bool in_scope(Scope scope, std::string_view rel_path) {
+  const bool src = starts_with(rel_path, "src/");
+  const bool util = starts_with(rel_path, "src/util/");
+  switch (scope) {
+    case Scope::Everywhere: return true;
+    case Scope::Src: return src;
+    case Scope::SrcButUtil: return src && !util;
+    case Scope::AllButUtil: return !util;
+    case Scope::SrcAndTests: return src || starts_with(rel_path, "tests/");
+  }
+  return false;
+}
+
+/// One rule's bans: identifiers banned on any mention, identifiers banned
+/// only as calls (`name (`, so a field or type sharing a C function's name
+/// stays legal), and system headers banned from `#include <...>`.
+struct Ban {
+  std::string_view rule;
+  Scope scope;
+  std::string_view why;
+  std::vector<std::string_view> names;
+  std::vector<std::string_view> calls;
+  std::vector<std::string_view> headers;
+};
+
+const std::vector<Ban>& bans() {
+  static const std::vector<Ban> kBans = {
+      {"wall-clock", Scope::SrcButUtil,
+       "outside src/util/ — virtual time comes from the runtime's phase "
+       "accounting; real timing goes through util::Stopwatch",
+       {"system_clock", "steady_clock", "high_resolution_clock",
+        "clock_gettime", "gettimeofday", "timespec_get"},
+       {"time", "localtime", "gmtime", "clock"},
+       {"ctime", "time.h"}},
+      {"unseeded-rng", Scope::Src,
+       "in src/ — derive all randomness from explicit seeds via util::Rng",
+       {"random_device"},
+       {"rand", "srand"},
+       {}},
+      {"check-convention", Scope::AllButUtil,
+       "— use FGP_CHECK (input precondition) or FGP_ASSERT (internal "
+       "invariant) from util/check.h",
+       {},
+       {"assert"},
+       {"cassert", "assert.h"}},
+      {"check-convention", Scope::SrcButUtil,
+       "outside src/util/ — use FGP_ASSERT from util/check.h",
+       {},
+       {"abort"},
+       {}},
+      {"console-io", Scope::SrcAndTests,
+       "outside tools/bench/examples — libraries report through return "
+       "values, exceptions and the obs layer (snprintf into a buffer is "
+       "fine)",
+       {"cout", "cerr", "clog"},
+       {"printf", "fprintf", "vfprintf", "puts", "fputs", "putchar", "fputc"},
+       {}},
+      {"naked-new", Scope::Everywhere,
+       "— use std::make_unique/std::make_shared or a container",
+       {"new"},
+       {},
+       {}},
+  };
+  return kBans;
+}
+
+bool contains(const std::vector<std::string_view>& v, std::string_view s) {
+  return std::find(v.begin(), v.end(), s) != v.end();
+}
+
+/// The hygiene rules: the bans() table, naked `delete`, raw std
+/// exceptions, payload const_casts, `#pragma once` in headers, and the
+/// mechanical formatting basics over the raw lines.
+void check_hygiene(const Tokens& toks, const RawLines& raw,
+                   std::string_view src, const std::string& rel_path,
+                   std::vector<Finding>& findings) {
+  const auto add = [&](std::size_t line, std::string_view rule,
+                       std::string message) {
+    findings.push_back({rel_path, line, std::string(rule), std::move(message)});
+  };
+  std::vector<const Ban*> active;
+  for (const Ban& b : bans())
+    if (in_scope(b.scope, rel_path)) active.push_back(&b);
+  std::set<std::size_t> const_cast_lines, payload_lines;
+  bool pragma_once = false;
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    const Token& t = toks[i];
+    if (is_punct(t, "#") && i + 2 < toks.size() &&
+        is_ident(toks[i + 1], "pragma") && is_ident(toks[i + 2], "once"))
+      pragma_once = true;
+    if (is_punct(t, "#") && i + 2 < toks.size() &&
+        is_ident(toks[i + 1], "include") && is_punct(toks[i + 2], "<")) {
+      std::string header;
+      for (std::size_t k = i + 3; k < toks.size() && !is_punct(toks[k], ">") &&
+                                  toks[k].line == t.line;
+           ++k)
+        header += toks[k].text;
+      for (const Ban* b : active)
+        if (contains(b->headers, header))
+          add(t.line, b->rule,
+              "<" + header + "> include " + std::string(b->why));
+    }
+    if (t.kind != TokKind::Ident) continue;
+    const bool call = i + 1 < toks.size() && is_punct(toks[i + 1], "(");
+    for (const Ban* b : active) {
+      if (contains(b->names, t.text))
+        add(t.line, b->rule, t.text + " " + std::string(b->why));
+      if (call && contains(b->calls, t.text))
+        add(t.line, b->rule, t.text + "() " + std::string(b->why));
+    }
+    // `= delete` (deleted special member functions) is idiomatic.
+    if (t.text == "delete" && (i == 0 || !is_punct(toks[i - 1], "=")))
+      add(t.line, "naked-new",
+          "naked delete — owning raw pointers are forbidden");
+    if (t.text == "throw" && i + 2 < toks.size() &&
+        is_ident(toks[i + 1], "std") && is_punct(toks[i + 2], "::") &&
+        in_scope(Scope::SrcButUtil, rel_path))
+      add(t.line, "check-convention",
+          "raw std exception — throw a fgp::util::Error subclass");
+    if (t.text == "const_cast") const_cast_lines.insert(t.line);
+    if (t.text.find("payload") != std::string::npos)
+      payload_lines.insert(t.line);
+  }
+  for (const std::size_t ln : const_cast_lines)
+    if (payload_lines.count(ln) != 0)
+      add(ln, "payload-const-cast",
+          "const_cast on a payload — chunk payload slabs are shared "
+          "immutable views (DESIGN.md §13); copy the bytes instead of "
+          "writing through an alias");
+  if (rel_path.ends_with(".h") && !pragma_once)
+    add(1, "header-hygiene", "header is missing #pragma once");
+
+  for (std::size_t ln = 1; ln <= raw.lines.size(); ++ln) {
+    const std::string& line = raw.at(ln);
+    if (line.find('\t') != std::string::npos)
+      add(ln, "formatting", "tab character (use spaces)");
+    if (!line.empty() && line.back() == '\r')
+      add(ln, "formatting", "CRLF line ending");
+    else if (!line.empty() &&
+             std::isspace(static_cast<unsigned char>(line.back())) != 0)
+      add(ln, "formatting", "trailing whitespace");
+  }
+  if (!src.empty() && src.back() != '\n')
+    add(raw.lines.size(), "formatting", "no newline at end of file");
+}
+
 }  // namespace
 
 int layer_rank(std::string_view rel_path) {
@@ -1118,6 +1276,9 @@ FileAnalysis analyze_source(std::string_view src, const std::string& rel_path,
       }
     }
   }
+
+  // --- hygiene bans, header and formatting checks (all scanned dirs) -----
+  check_hygiene(toks, raw, src, rel_path, findings);
 
   // --- allow-annotation filter --------------------------------------------
   for (std::size_t ln = 1; ln <= raw.lines.size(); ++ln) {

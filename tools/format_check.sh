@@ -6,7 +6,7 @@
 # Exits 0 when every tracked C++ file matches .clang-format, 1 when any
 # file drifts (listing the offenders), and 0 with a notice when
 # clang-format is not installed so offline/container builds stay green
-# (tools/fgplint still enforces the formatting basics mechanically).
+# (fgpcheck's formatting rule still enforces the basics mechanically).
 set -u
 
 root="${1:-$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)}"
