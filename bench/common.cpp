@@ -195,9 +195,6 @@ class ScopedStoreSource final : public repository::ChunkSource {
   repository::Chunk fetch(std::size_t index) const override {
     return inner_->fetch(index);
   }
-  void prefetch(std::size_t index) const override {
-    inner_->prefetch(index);
-  }
 
  private:
   std::shared_ptr<const repository::ChunkSource> inner_;

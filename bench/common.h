@@ -70,13 +70,13 @@ BenchApp with_virtual_size(const BenchApp& app, double virtual_mb);
 /// An out-of-core copy of `app`: the dataset is saved to a throwaway
 /// store under the system temp directory and reloaded with
 /// DatasetStore::load_streamed, so every exact run pulls payloads through
-/// budget-bounded mmap windows with block prefetch (DESIGN.md §15)
-/// instead of holding them resident. Results are bit-identical to the
-/// in-memory app (pinned by tests/test_dataplane.cpp). `budget_bytes` 0
-/// keeps the default StreamConfig; `metrics` (optional) receives the
-/// streamer's counters (store.windowed_bytes, prefetch hits/misses,
-/// window recycles). The temp store is removed when the last streamed
-/// view of the dataset drops.
+/// budget-bounded mmap windows (DESIGN.md §15), one checksum-verified
+/// fetch per chunk per pass, instead of holding them resident. Results
+/// are bit-identical to the in-memory app (pinned by
+/// tests/test_dataplane.cpp). `budget_bytes` 0 keeps the default
+/// StreamConfig; `metrics` (optional) receives the streamer's counters
+/// (store.windowed_bytes, window maps and recycles). The temp store is
+/// removed when the last streamed view of the dataset drops.
 BenchApp streamed_copy(const BenchApp& app, std::size_t budget_bytes = 0,
                        obs::Registry* metrics = nullptr);
 

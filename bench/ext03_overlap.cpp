@@ -80,13 +80,13 @@ int main() {
                "pipelining would require predicting max(T_d, T_n, T_c) "
                "instead of the sum.\n\n";
 
-  // Cross-check against the real host overlap path (DESIGN.md §15). The
-  // pipelined *virtual-time* model above and the *host* prefetch/compute
-  // overlap of the streamed data plane are independent layers: one
-  // reshapes the modelled phase timings, the other only hides host IO
-  // latency behind kernel compute. Re-running the job out-of-core must
-  // therefore reproduce the exact pass structure and virtual times of the
-  // in-memory run in both modes — enforced here, not just reported.
+  // Cross-check against the real host data plane (DESIGN.md §15). The
+  // pipelined *virtual-time* model above and the streamed plane's host IO
+  // are independent layers: one reshapes the modelled phase timings, the
+  // other only changes where host bytes come from. Re-running the job
+  // out-of-core must therefore reproduce the exact pass structure and
+  // virtual times of the in-memory run in both modes — enforced here, not
+  // just reported.
   obs::Registry stream_metrics;
   const auto streamed = bench::streamed_copy(app, 8u << 20, &stream_metrics);
   std::cout << "  Host-overlap cross-check (streamed data plane, 8 MiB "
@@ -115,13 +115,7 @@ int main() {
                     "bit-identical"});
   }
   xtable.print(std::cout);
-  std::cout << "  streamer: prefetch hits/misses "
-            << static_cast<long long>(
-                   stream_metrics.host_value("store.prefetch_hits"))
-            << "/"
-            << static_cast<long long>(
-                   stream_metrics.host_value("store.prefetch_misses"))
-            << ", window recycles "
+  std::cout << "  streamer: window recycles "
             << static_cast<long long>(
                    stream_metrics.host_value("store.window_recycles"))
             << ", stitched chunks "

@@ -546,8 +546,6 @@ struct StreamingResult {
   double streamed_s = 0.0;  ///< one full materializing scan
   double sampled_rss_delta = 0.0;  ///< statm peak during one scan
   double ru_maxrss_delta = 0.0;    ///< peak growth vs the smallest size
-  double prefetch_hits = 0.0;
-  double prefetch_misses = 0.0;
   double window_recycles = 0.0;
   double stitched_chunks = 0.0;
   double bytes_per_second() const { return payload_bytes / streamed_s; }
@@ -586,8 +584,8 @@ std::vector<StreamingResult> bench_streaming(double min_seconds, bool quick,
   obs::Registry metrics;
   repository::StreamConfig cfg;  // default 8 MiB budget, 256 KiB windows
 
-  // Correctness gate: runtime passes over the streamed plane (block
-  // prefetch overlapping kernel compute on the shared pool) must be
+  // Correctness gate: runtime passes over the streamed plane (chunks
+  // fetched from pool workers through the shared window pool) must be
   // bit-identical to the in-memory dataset.
   {
     const auto app = quick ? make_em_app(80.0, 1.0, 42, /*passes=*/2)
@@ -641,8 +639,6 @@ std::vector<StreamingResult> bench_streaming(double min_seconds, bool quick,
     r.payload_bytes = static_cast<double>(ds.total_real_bytes());
     r.budget_bytes = cfg.budget_bytes;
     r.window_bytes = cfg.window_bytes;
-    const double hits0 = metrics.host_value("store.prefetch_hits");
-    const double miss0 = metrics.host_value("store.prefetch_misses");
     const double rec0 = metrics.host_value("store.window_recycles");
     const double stitch0 = metrics.value("store.stitched_chunks");
     r.streamed_s = time_sweep(scan, min_seconds);
@@ -658,8 +654,6 @@ std::vector<StreamingResult> bench_streaming(double min_seconds, bool quick,
       }
       r.sampled_rss_delta = std::max(0.0, peak - before);
     }
-    r.prefetch_hits = metrics.host_value("store.prefetch_hits") - hits0;
-    r.prefetch_misses = metrics.host_value("store.prefetch_misses") - miss0;
     r.window_recycles = metrics.host_value("store.window_recycles") - rec0;
     r.stitched_chunks = metrics.value("store.stitched_chunks") - stitch0;
 
@@ -735,7 +729,6 @@ std::string to_dataplane_json(const std::vector<DataPlaneResult>& results,
   os << "  \"streaming\": [\n";
   for (std::size_t i = 0; i < streaming.size(); ++i) {
     const auto& s = streaming[i];
-    const double issued = s.prefetch_hits + s.prefetch_misses;
     os << "    {\n";
     os << "      \"name\": \"" << s.name << "\",\n";
     os << "      \"chunks\": " << s.chunks << ",\n";
@@ -748,10 +741,6 @@ std::string to_dataplane_json(const std::vector<DataPlaneResult>& results,
     os << "      \"sampled_rss_delta_bytes\": " << s.sampled_rss_delta
        << ",\n";
     os << "      \"ru_maxrss_delta_bytes\": " << s.ru_maxrss_delta << ",\n";
-    os << "      \"prefetch_hits\": " << s.prefetch_hits << ",\n";
-    os << "      \"prefetch_misses\": " << s.prefetch_misses << ",\n";
-    os << "      \"prefetch_hit_rate\": "
-       << (issued > 0.0 ? s.prefetch_hits / issued : 0.0) << ",\n";
     os << "      \"window_recycles\": " << s.window_recycles << ",\n";
     os << "      \"stitched_chunks\": " << s.stitched_chunks << "\n";
     os << "    }" << (i + 1 < streaming.size() ? "," : "") << "\n";

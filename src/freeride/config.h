@@ -55,7 +55,10 @@ struct JobConfig {
   /// Safety cap on passes for iterative algorithms.
   int max_passes = 128;
 
-  /// Verify chunk checksums on receipt (the data-communication role).
+  /// Verify chunk checksums on receipt (the data-communication role): a
+  /// first-pass sweep over resident payloads. A streamed chunk is checked
+  /// on receipt regardless of this flag — its fetch verifies the stored
+  /// checksum — so the sweep skips it rather than fetching it twice.
   bool verify_chunks = true;
 
   /// Throws util::ConfigError when the configuration violates the

@@ -1,9 +1,6 @@
 #include "freeride/runtime.h"
 
 #include <algorithm>
-#include <chrono>
-#include <future>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -31,45 +28,6 @@ struct NodeVolume {
 /// the serial runtime) reduces and merges in exactly the same order
 /// (DESIGN.md §11).
 constexpr std::size_t kChunksPerBlock = 4;
-
-/// Tracks the prefetch tasks a run has handed to the host pool so the pass
-/// that submitted them can wait them out. A prefetch task keeps the
-/// streaming source (and with it the window pool) alive via its captured
-/// shared_ptr, but the metrics registry that pool records into belongs to
-/// the caller and may die with the dataset handle as soon as run()
-/// returns — so no task submitted by a run may outlive it. drain() uses
-/// wait(), not get(): a failed prefetch stays non-fatal, the synchronous
-/// fetch of the same chunk surfaces any real error with context.
-struct PrefetchDrain {
-  util::ThreadPool* pool = nullptr;  ///< set once run() resolves its pool
-  std::mutex mu;
-  std::vector<std::future<void>> inflight;
-
-  void add(std::future<void> f) {
-    const std::lock_guard<std::mutex> lock(mu);
-    inflight.push_back(std::move(f));
-  }
-  void drain() {
-    std::vector<std::future<void>> local;
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      local.swap(inflight);
-    }
-    for (auto& f : local) {
-      if (!f.valid()) continue;
-      // Help-first, never park on queued work: this thread may itself be
-      // a pool worker (a sweep runs whole jobs on helpers), and a pool
-      // whose every thread parks on its own queue deadlocks. Only when
-      // the queue is empty is the task guaranteed running elsewhere (or
-      // done), making a plain wait finite.
-      while (f.wait_for(std::chrono::seconds(0)) !=
-             std::future_status::ready) {
-        if (pool == nullptr || !pool->try_run_one()) f.wait();
-      }
-    }
-  }
-  ~PrefetchDrain() { drain(); }
-};
 
 std::vector<NodeVolume> volumes(const repository::ChunkedDataset& ds,
                                 const PartitionMap& pm) {
@@ -147,15 +105,6 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
   // — which is what the trace visualizes — is unchanged.
   double vclock = 0.0;
 
-  // Streamed datasets pull payloads through this source on demand; the
-  // prefetch stage below (two-level reduction) readies the next block's
-  // windows while the current block reduces. Null for in-memory datasets.
-  const std::shared_ptr<const repository::ChunkSource> streaming_source =
-      ds.source();
-  // Destroyed (and therefore drained) on every exit path, including a
-  // kernel exception unwinding the pass loop.
-  PrefetchDrain prefetch_drain;
-
   // Host thread pool for the local-reduction phase: either borrowed from
   // the caller (shared across concurrent runs) or owned for this run. One
   // pool serves every pass; the work partition never depends on its size,
@@ -166,7 +115,6 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
     owned_pool.emplace(pool_threads_);
     pool = &*owned_pool;
   }
-  prefetch_drain.pool = pool;
 
   // Decide how later passes of a multi-pass job will be served: local disk
   // when the compute nodes can hold their share, otherwise a non-local
@@ -262,11 +210,13 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
       if (cfg.verify_chunks && result.passes == 0) {
         // Checksums are independent per chunk, so the sweep fans out over
         // the host pool; parallel_for rethrows the lowest-index failure,
-        // keeping the reported chunk deterministic. Streamed chunks are
-        // materialized for the check (the fetch itself already throws on
-        // corruption) and dropped immediately after.
+        // keeping the reported chunk deterministic. The sweep covers
+        // resident payloads only: the fetch that hands an unloaded
+        // streamed chunk to the kernel verifies its checksum (DESIGN.md
+        // §15), so sweeping it too would fetch and hash it once more.
         const auto verify_chunk = [&ds](std::size_t ci) {
-          const repository::Chunk chunk = ds.materialize(ci);
+          const repository::Chunk& chunk = ds.chunk(ci);
+          if (!chunk.loaded() && ds.streamed()) return;
           FGP_CHECK_MSG(chunk.verify(),
                         "chunk " << chunk.id() << " failed checksum");
         };
@@ -390,29 +340,6 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
         bs.block_time.assign(nblocks, 0.0);
         bs.block_work.assign(nblocks, sim::Work{});
         const auto reduce_block = [&](std::size_t b) {
-          // Host IO/compute overlap for streamed datasets: before this
-          // block's kernels start, the *next* block's windows are readied
-          // asynchronously on the pool, so its fetches hit resident
-          // mappings. Pure wall-clock optimization: prefetch touches only
-          // the window pool (plus host-domain counters), the fixed block
-          // partition and ascending fold order are untouched, and the
-          // task captures the refcounted source, so results stay
-          // bit-identical to the non-streamed path at any pool size.
-          if (streaming_source != nullptr && pool != nullptr) {
-            const std::size_t next_begin = (b + 1) * kChunksPerBlock;
-            if (next_begin < m) {
-              const std::size_t next_end =
-                  std::min(m, next_begin + kChunksPerBlock);
-              std::vector<std::size_t> targets(
-                  node_chunks.begin() +
-                      static_cast<std::ptrdiff_t>(next_begin),
-                  node_chunks.begin() + static_cast<std::ptrdiff_t>(next_end));
-              prefetch_drain.add(pool->submit(
-                  [src = streaming_source, targets = std::move(targets)] {
-                    for (const std::size_t ci : targets) src->prefetch(ci);
-                  }));
-            }
-          }
           ReductionObject& obj =
               b == 0 ? *objects[j] : *bs.block_objects[b - 1];
           double tb = 0.0;
@@ -497,10 +424,6 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
     } else {
       for (int j = 0; j < c; ++j) reduce_node(static_cast<std::size_t>(j));
     }
-    // The pass owns its prefetch tasks: wait them out here so none is
-    // still touching the window pool (or its metrics registry) after the
-    // caller regains control — see PrefetchDrain.
-    prefetch_drain.drain();
 
     // Work partials fold in node order (FP-ordered); the phase time is the
     // slowest node's.

@@ -34,8 +34,13 @@ ChunkedDataset ChunkedDataset::with_uniform_virtual_scale(
 }
 
 bool ChunkedDataset::verify_all() const {
-  for (std::size_t i = 0; i < chunks_.size(); ++i)
-    if (!materialize(i).verify()) return false;
+  for (std::size_t i = 0; i < chunks_.size(); ++i) {
+    const Chunk& c = chunks_[i];
+    if (!c.loaded() && source_ != nullptr)
+      (void)materialize(i);  // the fetch verifies, or throws
+    else if (!c.verify())
+      return false;
+  }
   return true;
 }
 
@@ -48,11 +53,6 @@ Chunk ChunkedDataset::materialize(std::size_t i) const {
   if (fetched.virtual_scale() != c.virtual_scale())
     fetched.set_virtual_scale(c.virtual_scale());
   return fetched;
-}
-
-void ChunkedDataset::prefetch(std::size_t i) const {
-  const Chunk& c = chunks_.at(i);
-  if (!c.loaded() && source_ != nullptr) source_->prefetch(i);
 }
 
 }  // namespace fgp::repository

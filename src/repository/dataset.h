@@ -24,10 +24,12 @@ struct DatasetMeta {
 /// Lazy payload provider for a streamed dataset (DESIGN.md §15): the
 /// dataset holds metadata_only chunk handles and pulls bytes through its
 /// source on demand. Implementations must be thread-safe — the runtime
-/// fetches and prefetches from pool workers concurrently — and must verify
-/// the fetched bytes against the stored checksum (throwing
-/// util::SerializationError on mismatch), so a materialized chunk is as
-/// trustworthy as a loaded one.
+/// fetches from pool workers concurrently — and must verify the fetched
+/// bytes against the stored checksum (throwing util::SerializationError on
+/// mismatch): that fetch is the only check a streamed chunk gets before a
+/// kernel reads it (Runtime::run's verify_chunks sweep and verify_all()
+/// skip unloaded chunks), so a materialized chunk is as trustworthy as a
+/// loaded one.
 class ChunkSource {
  public:
   virtual ~ChunkSource() = default;
@@ -36,12 +38,10 @@ class ChunkSource {
   /// chunk was stored with. Throws on IO errors or corruption.
   virtual Chunk fetch(std::size_t index) const = 0;
 
-  /// Hint that chunk `index` is about to be fetched: readies whatever
-  /// backing state makes the fetch cheap (mapped windows, page cache).
-  /// Never throws and never affects results — a prefetch is free to be a
-  /// no-op, and a failed prefetch just makes the later fetch slower (the
-  /// fetch re-raises any real error).
-  virtual void prefetch(std::size_t index) const = 0;
+  /// No-op that nothing in the library calls (DESIGN.md §15 gives the
+  /// measurements against prefetching). It stays virtual only so that
+  /// source wrappers which still override it keep compiling.
+  virtual void prefetch(std::size_t /*index*/) const {}
 };
 
 class ChunkedDataset {
@@ -77,8 +77,9 @@ class ChunkedDataset {
   ChunkedDataset with_uniform_virtual_scale(
       double virtual_scale, obs::Registry* metrics = nullptr) const;
 
-  /// True when every chunk's checksum verifies (streamed chunks are
-  /// materialized to be checked; the fetch itself throws on corruption).
+  /// True when every chunk's checksum verifies. An unloaded streamed chunk
+  /// is fetched once and hashed once: the fetch itself verifies it and
+  /// throws util::SerializationError on corruption.
   bool verify_all() const;
 
   /// Attaches the lazy payload source the metadata_only chunks of a
@@ -99,10 +100,6 @@ class ChunkedDataset {
   /// for its lifetime — dropping it releases them, which is what keeps a
   /// streamed pass's resident set flat (DESIGN.md §15).
   Chunk materialize(std::size_t i) const;
-
-  /// Forwards a prefetch hint for chunk `i` to the source (no-op when the
-  /// dataset is not streamed or the chunk is already loaded).
-  void prefetch(std::size_t i) const;
 
  private:
   DatasetMeta meta_;

@@ -64,17 +64,18 @@ std::size_t WindowPool::resident_bytes() const {
 
 std::shared_ptr<const WindowPool::Window> WindowPool::acquire(
     std::size_t chunk_index, const std::filesystem::path& path,
-    std::uint64_t expected_file_size, std::size_t window_index,
-    bool* was_resident) {
+    std::uint64_t expected_file_size, std::size_t window_index) {
   const Key key{chunk_index, window_index};
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (const auto it = index_.find(key); it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    if (was_resident != nullptr) *was_resident = true;
-    return lru_.front().window;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (const auto it = index_.find(key); it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return lru_.front().window;
+    }
   }
-  if (was_resident != nullptr) *was_resident = false;
 
+  // A miss opens, re-stats and maps the file without the lock, so hits
+  // and other windows' misses never wait on this one's syscalls.
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0)
     throw util::SerializationError("cannot open " + path.string() +
@@ -110,32 +111,52 @@ std::shared_ptr<const WindowPool::Window> WindowPool::acquire(
                                    std::to_string(window_index) + " of " +
                                    path.string());
   ::madvise(base, length, MADV_WILLNEED);
+  auto mapped = std::make_shared<const Window>(base, length);
 
-  lru_.push_front(Slot{key, std::make_shared<const Window>(base, length)});
-  index_[key] = lru_.begin();
-  resident_bytes_ += length;
-  if (metrics_ != nullptr)
-    metrics_->add("store.window_maps", 1.0, obs::Domain::Host);
-
-  // Hard budget: drop least-recently-used windows until back under it.
-  // The just-mapped front window always survives its own acquisition; a
-  // dropped window's mapping lives on while any chunk view borrows it.
-  while (resident_bytes_ > cfg_.budget_bytes && lru_.size() > 1) {
-    const Slot& victim = lru_.back();
-    resident_bytes_ -= victim.window->length();
-    index_.erase(victim.key);
-    lru_.pop_back();
-    if (metrics_ != nullptr)
-      metrics_->add("store.window_recycles", 1.0, obs::Domain::Host);
+  // Windows leaving the pool are dropped after the lock is released, so
+  // the munmap of a last reference runs unlocked too.
+  std::vector<std::shared_ptr<const Window>> dropped;
+  std::shared_ptr<const Window> out;
+  std::size_t recycles = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (const auto it = index_.find(key); it != index_.end()) {
+      // Another thread mapped this window meanwhile: serve theirs.
+      lru_.splice(lru_.begin(), lru_, it->second);
+      dropped.push_back(std::move(mapped));
+    } else {
+      lru_.push_front(Slot{key, std::move(mapped)});
+      index_[key] = lru_.begin();
+      resident_bytes_ += length;
+      // Hard budget: drop least-recently-used windows until back under
+      // it. The just-mapped front window always survives its own
+      // acquisition; a dropped window's mapping lives on while any chunk
+      // view borrows it.
+      while (resident_bytes_ > cfg_.budget_bytes && lru_.size() > 1) {
+        Slot& victim = lru_.back();
+        resident_bytes_ -= victim.window->length();
+        index_.erase(victim.key);
+        dropped.push_back(std::move(victim.window));
+        lru_.pop_back();
+        ++recycles;
+      }
+    }
+    out = lru_.front().window;
   }
-  return lru_.front().window;
+  if (metrics_ != nullptr) {
+    metrics_->add("store.window_maps", 1.0, obs::Domain::Host);
+    if (recycles > 0)
+      metrics_->add("store.window_recycles", static_cast<double>(recycles),
+                    obs::Domain::Host);
+  }
+  return out;
 }
 
 #else
 
 std::shared_ptr<const WindowPool::Window> WindowPool::acquire(
     std::size_t, const std::filesystem::path& path, std::uint64_t,
-    std::size_t, bool*) {
+    std::size_t) {
   throw util::SerializationError("no mmap support on this platform for " +
                                  path.string());
 }
@@ -186,8 +207,6 @@ Chunk StoreStreamSource::fetch(std::size_t index) const {
   const std::size_t window_bytes = pool_.config().window_bytes;
 
   std::shared_ptr<const PayloadBuffer> payload;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
   if (n == 0) {
     payload = PayloadBuffer::from_bytes({});
   } else {
@@ -200,10 +219,7 @@ Chunk StoreStreamSource::fetch(std::size_t index) const {
     if (last_window == 0) {
       // Zero-copy: the view borrows the window's mapping and keeps it
       // alive past any pool eviction.
-      bool resident = false;
-      const auto w =
-          pool_.acquire(index, e.path, e.file_size, 0, &resident);
-      (resident ? hits : misses) += 1;
+      const auto w = pool_.acquire(index, e.path, e.file_size, 0);
       payload = PayloadBuffer::from_view(
           w, w->data() + Chunk::kWireHeaderBytes,
           static_cast<std::size_t>(n));
@@ -214,10 +230,7 @@ Chunk StoreStreamSource::fetch(std::size_t index) const {
       // any budget.
       std::vector<std::uint8_t> stitched(static_cast<std::size_t>(n));
       for (std::size_t wi = 0; wi <= last_window; ++wi) {
-        bool resident = false;
-        const auto w =
-            pool_.acquire(index, e.path, e.file_size, wi, &resident);
-        (resident ? hits : misses) += 1;
+        const auto w = pool_.acquire(index, e.path, e.file_size, wi);
         const std::uint64_t win_begin =
             static_cast<std::uint64_t>(wi) * window_bytes;
         const std::uint64_t copy_begin =
@@ -240,38 +253,11 @@ Chunk StoreStreamSource::fetch(std::size_t index) const {
   if (c.checksum() != e.checksum)
     throw util::SerializationError("chunk " + std::to_string(e.id) +
                                    ": checksum mismatch (corrupted payload)");
-  if (metrics_ != nullptr) {
-    // Integral increments: the totals are fixed by the fetch sequence, so
-    // the deterministic export is byte-identical at any pool size; the
-    // hit/miss split depends on prefetch timing and stays host-domain.
+  // Integral increments: the total is fixed by the fetch sequence, so the
+  // deterministic export is byte-identical at any pool size.
+  if (metrics_ != nullptr)
     metrics_->add("store.windowed_bytes", static_cast<double>(n));
-    if (hits > 0)
-      metrics_->add("store.prefetch_hits", static_cast<double>(hits),
-                    obs::Domain::Host);
-    if (misses > 0)
-      metrics_->add("store.prefetch_misses", static_cast<double>(misses),
-                    obs::Domain::Host);
-  }
   return c;
-}
-
-void StoreStreamSource::prefetch(std::size_t index) const {
-  // A hint, never an error: ready the chunk's windows (map + WILLNEED)
-  // so the fetch overlapping the current block's compute finds them
-  // resident. Any IO problem is swallowed here and re-raised with full
-  // context by the eventual fetch.
-  try {
-    const Entry& e = entries_.at(index);
-    if (e.payload_bytes == 0) return;
-    const std::size_t window_bytes = pool_.config().window_bytes;
-    const std::size_t last_window = static_cast<std::size_t>(
-        (Chunk::kWireHeaderBytes + e.payload_bytes - 1) / window_bytes);
-    for (std::size_t wi = 0; wi <= last_window; ++wi)
-      pool_.acquire(index, e.path, e.file_size, wi);
-    if (metrics_ != nullptr)
-      metrics_->add("store.prefetch_issued", 1.0, obs::Domain::Host);
-  } catch (...) {  // NOLINT(bugprone-empty-catch)
-  }
 }
 
 }  // namespace fgp::repository

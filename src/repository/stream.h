@@ -21,8 +21,10 @@
 // The StoreStreamSource below is the ChunkSource behind
 // DatasetStore::load_streamed: it re-verifies every fetched payload
 // against the stored checksum, so streamed bytes are as trustworthy as
-// loaded ones, and it is thread-safe for concurrent fetch/prefetch from
-// pool workers.
+// loaded ones, and it is thread-safe for concurrent fetches from pool
+// workers. A window miss opens, re-stats and maps its file outside the
+// pool lock, and windows leaving the pool are unmapped after the lock is
+// released, so one fetch's syscalls never stall another's.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +56,8 @@ struct StreamConfig {
 /// Keys are (chunk index, window index); values are refcounted mappings,
 /// so eviction never invalidates a live view. Host-domain counters
 /// (store.window_maps / store.window_recycles) go to `metrics` — mapping
-/// and recycling depend on host timing, never on results.
+/// and recycling depend on host timing, never on results. The lock guards
+/// only the LRU bookkeeping: maps and unmaps run outside it.
 class WindowPool {
  public:
   /// One mapped window: [offset, offset + length) of a chunk file.
@@ -79,21 +82,21 @@ class WindowPool {
   /// Maps (or returns the resident) window `window_index` of `path`, whose
   /// current size must still be `expected_file_size` (a typed
   /// SerializationError reports a file truncated or grown since the
-  /// metadata scan). `was_resident` (optional) reports whether the window
-  /// was already pooled — the prefetch hit signal. Eviction keeps the pool
-  /// at or under budget_bytes afterwards (the returned window itself
-  /// always survives its own acquisition).
+  /// metadata scan). Eviction keeps the pool at or under budget_bytes
+  /// afterwards (the returned window itself always survives its own
+  /// acquisition). Two threads missing on one key may both map it; the
+  /// first to insert wins and the other's mapping is dropped.
   std::shared_ptr<const Window> acquire(std::size_t chunk_index,
                                         const std::filesystem::path& path,
                                         std::uint64_t expected_file_size,
-                                        std::size_t window_index,
-                                        bool* was_resident = nullptr);
+                                        std::size_t window_index);
 
   /// Normalized configuration (window_bytes page-rounded).
   const StreamConfig& config() const { return cfg_; }
 
   /// Bytes of mapped windows the pool currently retains (<= budget after
-  /// every acquire; live borrowed windows outside the pool don't count).
+  /// every acquire; windows still being mapped, and live borrowed windows
+  /// outside the pool, don't count).
   std::size_t resident_bytes() const;
 
  private:
@@ -114,8 +117,8 @@ class WindowPool {
 /// ChunkSource streaming a saved dataset's chunk files through a
 /// WindowPool (the engine behind DatasetStore::load_streamed). Counters:
 /// store.windowed_bytes and store.stitched_chunks are Deterministic
-/// (integral, fixed by the fetch sequence); prefetch hits/misses and
-/// window maps/recycles are Host (they depend on pool timing).
+/// (integral, fixed by the fetch sequence); window maps/recycles are Host
+/// (they depend on pool timing).
 class StoreStreamSource final : public ChunkSource {
  public:
   /// Per-chunk metadata gathered by the load_streamed header scan.
@@ -137,7 +140,6 @@ class StoreStreamSource final : public ChunkSource {
                     obs::Registry* metrics);
 
   Chunk fetch(std::size_t index) const override;
-  void prefetch(std::size_t index) const override;
 
   std::size_t chunk_count() const { return entries_.size(); }
   const Entry& entry(std::size_t i) const { return entries_.at(i); }

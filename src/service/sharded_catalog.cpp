@@ -1,6 +1,7 @@
 #include "service/sharded_catalog.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "util/check.h"
@@ -162,17 +163,24 @@ void ShardedCatalog::register_replicas(std::vector<grid::Replica> replicas) {
   std::vector<std::vector<grid::Replica>> per_shard(shards_.size());
   for (auto& r : replicas)
     per_shard[shard_of(r.dataset, shards_.size())].push_back(std::move(r));
+  const auto by_dataset = [](const grid::Replica& a, const grid::Replica& b) {
+    return a.dataset < b.dataset;
+  };
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (per_shard[s].empty()) continue;
-    auto next = std::make_shared<ReplicaShard>(*shards_[s].load());
-    next->replicas.reserve(next->replicas.size() + per_shard[s].size());
-    for (auto& r : per_shard[s]) next->replicas.push_back(std::move(r));
-    // Registration order within a dataset must survive the re-sort
-    // (GridCatalog enumeration parity), hence stable_sort.
-    std::stable_sort(next->replicas.begin(), next->replicas.end(),
-                     [](const grid::Replica& a, const grid::Replica& b) {
-                       return a.dataset < b.dataset;
-                     });
+    auto& batch = per_shard[s];
+    if (batch.empty()) continue;
+    // Registration order within a dataset must survive (GridCatalog
+    // enumeration parity): the batch sorts stably, and the merge puts
+    // existing entries before incoming ones on ties. The shard is already
+    // sorted, so a publish costs one linear merge, not a full re-sort.
+    std::stable_sort(batch.begin(), batch.end(), by_dataset);
+    const auto current = shards_[s].load();
+    auto next = std::make_shared<ReplicaShard>();
+    next->replicas.reserve(current->replicas.size() + batch.size());
+    std::merge(current->replicas.begin(), current->replicas.end(),
+               std::make_move_iterator(batch.begin()),
+               std::make_move_iterator(batch.end()),
+               std::back_inserter(next->replicas), by_dataset);
     shards_[s].store(std::shared_ptr<const ReplicaShard>(std::move(next)));
   }
 }

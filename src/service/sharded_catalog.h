@@ -68,8 +68,8 @@ struct Topology {
 };
 
 /// One shard's replica entries, sorted by dataset name; entries of the
-/// same dataset keep their registration order (std::stable_sort on
-/// publish).
+/// same dataset keep their registration order (a publish stably sorts the
+/// incoming batch and merges it after the existing entries).
 struct ReplicaShard {
   std::vector<grid::Replica> replicas;
   /// The contiguous run of replicas for `dataset` (empty span when none).
@@ -97,7 +97,7 @@ class ShardedCatalog {
   void register_link(const grid::SiteId& repository,
                      const grid::SiteId& compute, sim::WanSpec wan);
   void register_replica(grid::Replica replica);
-  /// Bulk load: one sort + one publish per shard instead of a
+  /// Bulk load: one batch sort + one merge-publish per shard instead of a
   /// copy-on-publish per entry — the path a million-entry catalog takes.
   void register_replicas(std::vector<grid::Replica> replicas);
 

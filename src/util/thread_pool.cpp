@@ -39,18 +39,6 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
   return fut;
 }
 
-bool ThreadPool::try_run_one() {
-  std::function<void()> task;
-  {
-    std::lock_guard lock(mu_);
-    if (tasks_.empty()) return false;
-    task = std::move(tasks_.front());
-    tasks_.pop();
-  }
-  task();
-  return true;
-}
-
 PoolStats ThreadPool::stats() const {
   PoolStats s;
   s.parallel_for_calls = parallel_for_calls_.load(std::memory_order_relaxed);

@@ -62,16 +62,6 @@ class ThreadPool {
   /// large ranges do not pay per-index enqueue overhead.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// Pops and runs one queued task on the *calling* thread; returns false
-  /// without blocking when the queue is empty. This is how a thread waits
-  /// on pool work without parking: a caller that must block until a
-  /// submitted task finishes may itself be a pool worker (parallel_for
-  /// runs whole jobs on helpers), and parking on a queued task from
-  /// inside a saturated pool deadlocks it — help-first, wait only when
-  /// the queue is empty (the task is then running elsewhere or done).
-  /// A task exception propagates to the submitter's future, never here.
-  bool try_run_one();
-
   std::size_t size() const { return workers_.size(); }
 
   /// Snapshot of the activity counters (atomically consistent per field,

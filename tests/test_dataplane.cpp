@@ -132,16 +132,15 @@ TEST(DataPlane, StreamedSweepBitIdenticalToInMemoryAcrossPools) {
   }
 }
 
-TEST(DataPlane, PrefetchTasksDrainBeforeRunReturns) {
-  // Regression: the runtime's block-prefetch tasks go to the (often
-  // long-lived) shared pool, but the streamed source records into a
-  // caller-scoped metrics registry. A task that outlived run() once
-  // dereferenced a destroyed registry mid-bench — and a straggler could
-  // equally wedge the pool's worker on a destroyed mutex at process
-  // exit. Every pass now drains its own tasks, so the registry, the
-  // dataset handle and its temp store may all die the moment run()
-  // returns. Under the sanitizer presets any straggler task turns the
-  // churn below into a hard failure.
+TEST(DataPlane, NoPoolTaskOutlivesRun) {
+  // Regression: streamed runs fan fetches out over a (often long-lived)
+  // shared pool, but the streamed source records into a caller-scoped
+  // metrics registry. A pool task that outlived run() once dereferenced a
+  // destroyed registry mid-bench — and a straggler could equally wedge
+  // the pool's worker on a destroyed mutex at process exit. The registry,
+  // the dataset handle and its temp store must all be free to die the
+  // moment run() returns. Under the sanitizer presets any straggler task
+  // turns the churn below into a hard failure.
   util::ThreadPool pool(2);
   const BenchApp base = make_em_app(40.0, 1.0, 42, 2);
   for (int round = 0; round < 4; ++round) {
@@ -153,8 +152,8 @@ TEST(DataPlane, PrefetchTasksDrainBeforeRunReturns) {
                      sim::cluster_pentium_myrinet(), sim::wan_mbps(800.0),
                      {4, 8}, false, &pool, nullptr, &metrics);
     }  // registry, streamed dataset and its temp store are gone here
-    // Churn the pool: a leftover prefetch task would now run against the
-    // destroyed registry/window pool instead of these no-ops.
+    // Churn the pool: a leftover task would now run against the destroyed
+    // registry/window pool instead of these no-ops.
     for (int i = 0; i < 32; ++i) pool.submit([] {}).wait();
   }
 }

@@ -4,6 +4,7 @@
 // concurrent readers racing snapshot swaps (run under TSan in CI).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <map>
@@ -90,6 +91,20 @@ bool same_candidate(const grid::Candidate& a, const grid::Candidate& b) {
          a.wan.per_link_Bps == b.wan.per_link_Bps;
 }
 
+/// Both catalogs enumerate the same candidates for `dataset`, in order.
+void expect_enumeration_parity(const grid::GridCatalog& flat,
+                               const ShardedCatalog& sharded,
+                               const std::string& dataset) {
+  const auto expect = flat.enumerate_candidates(dataset);
+  const auto got = ShardedCatalog::enumerate_candidates(
+      *sharded.topology(), *sharded.shard_for(dataset), dataset);
+  ASSERT_EQ(got.size(), expect.size())
+      << dataset << " @" << sharded.shard_count();
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_TRUE(same_candidate(got[i], expect[i]))
+        << dataset << " candidate " << i << " @" << sharded.shard_count();
+}
+
 // ---------------------------------------------------------------------------
 // ShardedCatalog
 
@@ -138,15 +153,55 @@ TEST(ShardedCatalog, EnumerationMatchesGridCatalogExactly) {
   for (std::size_t shards : {1u, 3u, 16u}) {
     ShardedCatalog sharded(shards);
     populate(sharded);
-    for (const std::string dataset : {"em-data", "points", "unknown"}) {
-      const auto expect = flat.enumerate_candidates(dataset);
-      const auto got = ShardedCatalog::enumerate_candidates(
-          *sharded.topology(), *sharded.shard_for(dataset), dataset);
-      ASSERT_EQ(got.size(), expect.size()) << dataset << " @" << shards;
-      for (std::size_t i = 0; i < got.size(); ++i)
-        EXPECT_TRUE(same_candidate(got[i], expect[i]))
-            << dataset << " candidate " << i;
+    for (const std::string dataset : {"em-data", "points", "unknown"})
+      expect_enumeration_parity(flat, sharded, dataset);
+  }
+}
+
+TEST(ShardedCatalog, RandomRegistrationsKeepGridCatalogOrder) {
+  // A publish merges the stably sorted batch after a shard's existing
+  // entries, so any mix of single and bulk registrations — repeated
+  // datasets, names arriving unsorted — must keep every shard sorted and
+  // registration order within each dataset (GridCatalog parity).
+  constexpr int kDatasets = 17;
+  util::Rng rng(20070326);
+  std::vector<std::vector<grid::Replica>> batches(60);
+  for (auto& batch : batches) {
+    const std::size_t size =
+        rng.next_below(3) == 0 ? 2 + rng.next_below(12) : 1;
+    for (std::size_t i = 0; i < size; ++i) {
+      const bool east = rng.next_below(2) == 0;
+      batch.push_back({"ds-" + std::to_string(rng.next_below(kDatasets)),
+                       east ? "repo-east" : "repo-west",
+                       1 + static_cast<int>(rng.next_below(east ? 8 : 4))});
     }
+  }
+  grid::GridCatalog flat;
+  populate(flat);
+  for (const auto& batch : batches)
+    for (const auto& r : batch) flat.register_replica(r);
+
+  for (std::size_t shards : {1u, 3u, 16u}) {
+    ShardedCatalog sharded(shards);
+    populate(sharded);
+    for (const auto& batch : batches) {
+      if (batch.size() == 1)
+        sharded.register_replica(batch.front());
+      else
+        sharded.register_replicas(batch);
+    }
+    for (std::size_t s = 0; s < shards; ++s) {
+      const auto& replicas = sharded.shard(s)->replicas;
+      EXPECT_TRUE(std::is_sorted(
+          replicas.begin(), replicas.end(),
+          [](const grid::Replica& a, const grid::Replica& b) {
+            return a.dataset < b.dataset;
+          }))
+          << "shard " << s << " of " << shards;
+    }
+    for (int d = 0; d < kDatasets; ++d)
+      expect_enumeration_parity(flat, sharded, "ds-" + std::to_string(d));
+    expect_enumeration_parity(flat, sharded, "em-data");
   }
 }
 

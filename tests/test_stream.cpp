@@ -1,8 +1,8 @@
 // Tests for the out-of-core streaming window layer (DESIGN.md §15):
 // windowed mmap round trips, the stitched fallback for payloads larger
 // than a window, budget-bounded recycling, typed failures on truncated or
-// corrupted chunk files, and the lazy materialization contract of
-// streamed datasets.
+// corrupted chunk files, the lazy materialization contract of streamed
+// datasets, and the runtime's one verified fetch per chunk per pass.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -11,8 +11,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "freeride/runtime.h"
+#include "helpers.h"
 #include "obs/metrics.h"
 #include "repository/chunk.h"
 #include "repository/dataset.h"
@@ -65,6 +69,18 @@ StreamConfig tiny_windows(std::size_t budget_windows = 4) {
   cfg.window_bytes = 1;  // rounds up to one page
   cfg.budget_bytes = budget_windows * 4096;
   return cfg;
+}
+
+/// Flips one payload byte of a saved chunk file in place (size unchanged,
+/// so only the checksum can catch it).
+void flip_payload_byte(const fs::path& chunk_file, std::size_t offset) {
+  std::fstream f(chunk_file, std::ios::in | std::ios::out | std::ios::binary);
+  const auto at =
+      static_cast<std::streamoff>(Chunk::kWireHeaderBytes + offset);
+  f.seekg(at);
+  const int byte = f.get();
+  f.seekp(at);
+  f.put(static_cast<char>(byte ^ 0x40));
 }
 
 class StreamTest : public ::testing::Test {
@@ -199,17 +215,9 @@ TEST_F(StreamTest, CorruptedPayloadFailsChecksum) {
   store.save(make_dataset({5000}));
 
   const auto streamed = store.load_streamed("streamed", tiny_windows());
-  {
-    // Flip one payload byte in place (size unchanged, so only the
-    // checksum can catch it).
-    std::fstream f(root / "streamed" / "chunk_0.bin",
-                   std::ios::in | std::ios::out | std::ios::binary);
-    f.seekg(static_cast<std::streamoff>(Chunk::kWireHeaderBytes + 2500));
-    const int byte = f.get();
-    f.seekp(static_cast<std::streamoff>(Chunk::kWireHeaderBytes + 2500));
-    f.put(static_cast<char>(byte ^ 0x40));
-  }
+  flip_payload_byte(root / "streamed" / "chunk_0.bin", 2500);
   EXPECT_THROW(streamed.materialize(0), util::SerializationError);
+  EXPECT_THROW(streamed.verify_all(), util::SerializationError);
   fs::remove_all(root);
 }
 
@@ -247,22 +255,22 @@ TEST_F(StreamTest, RescaledViewMaterializesAtViewScale) {
   fs::remove_all(root);
 }
 
-TEST_F(StreamTest, PrefetchWarmsTheWindowPool) {
-  const auto root = temp_root("prefetch");
+TEST_F(StreamTest, RefetchWithinBudgetReusesTheResidentWindow) {
+  const auto root = temp_root("refetch");
   const DatasetStore store(root);
   store.save(make_dataset({3000, 3000, 3000, 3000}));
 
   obs::Registry metrics;
   const DatasetStore reader(root, nullptr, &metrics);
   const auto streamed = reader.load_streamed("streamed", tiny_windows(8));
-  for (std::size_t i = 0; i < streamed.chunk_count(); ++i)
-    streamed.prefetch(i);
-  EXPECT_EQ(metrics.host_value("store.prefetch_issued"), 4.0);
-  for (std::size_t i = 0; i < streamed.chunk_count(); ++i)
-    (void)streamed.materialize(i);
-  // Every fetch found its window resident from the prefetch pass.
-  EXPECT_GT(metrics.host_value("store.prefetch_hits"), 0.0);
-  EXPECT_EQ(metrics.host_value("store.prefetch_misses"), 0.0);
+  for (int round = 0; round < 2; ++round)
+    for (std::size_t i = 0; i < streamed.chunk_count(); ++i)
+      (void)streamed.materialize(i);
+  // One window per chunk fits the budget, so only the first round maps;
+  // the second is served from the pool (and still checksum-verified).
+  EXPECT_EQ(metrics.host_value("store.window_maps"), 4.0);
+  EXPECT_EQ(metrics.host_value("store.window_recycles"), 0.0);
+  EXPECT_EQ(metrics.value("store.windowed_bytes"), 2.0 * 4.0 * 3000.0);
   fs::remove_all(root);
 }
 
@@ -297,6 +305,94 @@ TEST_F(StreamTest, ConcurrentMaterializeIsSafeAndCorrect) {
     EXPECT_EQ(std::count(ok.begin(), ok.end(), 1),
               static_cast<std::ptrdiff_t>(sizes.size()));
   }
+  fs::remove_all(root);
+}
+
+TEST_F(StreamTest, ConcurrentAcquireOfOneWindow) {
+  // Eight workers race on the same chunk under a one-window budget. The
+  // chunk straddles two windows, so every fetch evicts the window the
+  // other workers need next: misses map outside the pool lock, losing
+  // duplicates and evicted windows are unmapped after it is released.
+  const auto root = temp_root("one_window");
+  const DatasetStore store(root);
+  const auto ds = make_dataset({5000});
+  store.save(ds);
+
+  const StreamConfig cfg = tiny_windows(1);
+  const auto streamed = store.load_streamed("streamed", cfg);
+  const auto* source =
+      dynamic_cast<const StoreStreamSource*>(streamed.source().get());
+  ASSERT_NE(source, nullptr);
+  constexpr std::size_t kWorkers = 8;
+  constexpr int kFetches = 100;
+  util::ThreadPool pool(kWorkers);
+  std::vector<int> ok(kWorkers, 0);
+  pool.parallel_for(kWorkers, [&](std::size_t w) {
+    int same = 0;
+    for (int f = 0; f < kFetches; ++f)
+      same += same_payload(streamed.materialize(0), ds.chunk(0)) ? 1 : 0;
+    ok[w] = same;
+  });
+  for (std::size_t w = 0; w < kWorkers; ++w)
+    EXPECT_EQ(ok[w], kFetches) << "worker " << w;
+  EXPECT_LE(source->resident_window_bytes(), cfg.budget_bytes);
+  fs::remove_all(root);
+}
+
+TEST_F(StreamTest, RuntimeNamesTheCorruptedStreamedChunk) {
+  // Verify-at-fetch: a streamed chunk is checked by the fetch that hands
+  // it to the kernel, so a corrupted one fails the run with a typed error
+  // naming it whether or not verify_chunks is set, serial or pooled.
+  const auto root = temp_root("runtime_corrupt");
+  const DatasetStore store(root);
+  const auto ds = testing::make_sum_dataset(24, 64);
+  store.save(ds);
+  flip_payload_byte(root / ds.meta().name / "chunk_13.bin", 100);
+  const auto streamed = store.load_streamed(ds.meta().name, tiny_windows());
+
+  for (const bool verify : {true, false}) {
+    for (const std::size_t threads : {0, 2, 8}) {
+      std::optional<util::ThreadPool> pool;
+      if (threads > 0) pool.emplace(threads);
+      auto setup = testing::pentium_setup(&streamed, 2, 4);
+      setup.config.verify_chunks = verify;
+      testing::SumKernel kernel;
+      try {
+        (void)freeride::Runtime(pool ? &*pool : nullptr).run(setup, kernel);
+        ADD_FAILURE() << "run succeeded; verify=" << verify
+                      << " threads=" << threads;
+      } catch (const util::SerializationError& e) {
+        EXPECT_NE(std::string(e.what()).find("chunk 13: checksum mismatch"),
+                  std::string::npos)
+            << e.what() << " (verify=" << verify << " threads=" << threads
+            << ")";
+      }
+    }
+  }
+  fs::remove_all(root);
+}
+
+TEST_F(StreamTest, TwoPassJobFetchesEachChunkOncePerPass) {
+  // The verify_chunks sweep skips unloaded streamed chunks (their fetch
+  // is the check), so a 2-pass job streams every byte exactly twice.
+  const auto root = temp_root("fetch_count");
+  const DatasetStore store(root);
+  const auto ds = testing::make_sum_dataset(24, 64);
+  store.save(ds);
+
+  obs::Registry metrics;
+  const DatasetStore reader(root, nullptr, &metrics);
+  const auto streamed = reader.load_streamed(ds.meta().name, tiny_windows());
+  testing::SumKernelParams params;
+  params.passes = 2;
+  testing::SumKernel kernel(params);
+  const auto setup = testing::pentium_setup(&streamed, 2, 4);
+  ASSERT_TRUE(setup.config.verify_chunks);
+  util::ThreadPool pool(4);
+  const auto result = freeride::Runtime(&pool).run(setup, kernel);
+  EXPECT_EQ(result.passes, 2);
+  EXPECT_EQ(metrics.value("store.windowed_bytes"),
+            2.0 * static_cast<double>(ds.total_real_bytes()));
   fs::remove_all(root);
 }
 

@@ -96,52 +96,6 @@ TEST(ThreadPool, SubmittedFutureRethrowsTypedError) {
   EXPECT_THROW(fut.get(), Error);
 }
 
-TEST(ThreadPool, TryRunOneExecutesQueuedWorkOnTheCaller) {
-  ThreadPool pool(1);
-  // Park the only worker so submitted tasks stay queued. Wait until the
-  // worker has actually dequeued the parking task — otherwise the
-  // try_run_one loop below could steal it and park the caller instead.
-  std::mutex mu;
-  std::condition_variable cv;
-  std::atomic<bool> started{false};
-  bool release = false;
-  auto parked = pool.submit([&] {
-    std::unique_lock lock(mu);
-    started.store(true);
-    cv.notify_all();
-    cv.wait(lock, [&] { return release; });
-  });
-  {
-    std::unique_lock lock(mu);
-    cv.wait(lock, [&] { return started.load(); });
-  }
-
-  std::atomic<int> ran{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 3; ++i)
-    futs.push_back(pool.submit([&ran] { ran.fetch_add(1); }));
-
-  // The caller drains the queue itself — this is the help-first waiting
-  // protocol the runtime's prefetch drain relies on: a thread blocked on
-  // queued pool work must run tasks, not park, or a saturated pool
-  // deadlocks.
-  int helped = 0;
-  while (pool.try_run_one()) ++helped;
-  EXPECT_EQ(helped, 3);
-  EXPECT_EQ(ran.load(), 3);
-  for (auto& f : futs) f.wait();
-
-  // Empty queue: false immediately, no blocking, and the still-running
-  // parked task is not "runnable" a second time.
-  EXPECT_FALSE(pool.try_run_one());
-  {
-    const std::lock_guard lock(mu);
-    release = true;
-  }
-  cv.notify_one();
-  parked.wait();
-}
-
 TEST(ThreadPool, NestedParallelForFromWorkerCompletes) {
   // A parallel_for body that itself calls parallel_for on the same pool
   // must complete: the nested caller claims blocks of its own range
