@@ -33,8 +33,6 @@ void record_pool_stats(const util::PoolStats& stats, Registry& metrics,
               static_cast<double>(stats.blocks_total), Domain::Host);
   metrics.set(prefix + ".blocks_by_helpers",
               static_cast<double>(stats.blocks_by_helpers), Domain::Host);
-  metrics.set(prefix + ".tasks_submitted",
-              static_cast<double>(stats.tasks_submitted), Domain::Host);
 }
 
 }  // namespace fgp::obs

@@ -22,8 +22,7 @@ class TraceRecorder;
 void attach_pool_tracing(util::ThreadPool& pool, TraceRecorder* trace);
 
 /// Copies a PoolStats snapshot into Host-domain gauges:
-///   <prefix>.parallel_for_calls / .blocks_total / .blocks_by_helpers /
-///   .tasks_submitted
+///   <prefix>.parallel_for_calls / .blocks_total / .blocks_by_helpers
 void record_pool_stats(const util::PoolStats& stats, Registry& metrics,
                        const std::string& prefix = "pool");
 

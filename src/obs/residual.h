@@ -5,7 +5,8 @@
 // component breakdown. A ResidualReport records, for every point of a
 // sweep, the predicted and observed disk / network / compute_local /
 // ro_comm / global_red times and exports them as canonical JSON
-// (schema "fgpred-residuals-v1") for fgptrace / tools/bench_diff.
+// (schema "fgpred-residuals-v1") for fgptrace (--validate, --summarize,
+// and --diff, which compares two reports).
 #pragma once
 
 #include <string>

@@ -1,17 +1,5 @@
 #include "repository/payload.h"
 
-#include "util/serial.h"
-
-#if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
-#define FGP_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#else
-#define FGP_HAVE_MMAP 0
-#endif
-
 namespace fgp::repository {
 
 std::shared_ptr<const PayloadBuffer> PayloadBuffer::from_bytes(
@@ -19,7 +7,13 @@ std::shared_ptr<const PayloadBuffer> PayloadBuffer::from_bytes(
   return std::make_shared<const PayloadBuffer>(Token{}, std::move(bytes));
 }
 
-bool PayloadBuffer::mmap_supported() { return FGP_HAVE_MMAP != 0; }
+bool PayloadBuffer::mmap_supported() {
+#if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
+  return true;
+#else
+  return false;
+#endif
+}
 
 std::shared_ptr<const PayloadBuffer> PayloadBuffer::from_view(
     std::shared_ptr<const void> owner, const std::uint8_t* data,
@@ -34,59 +28,5 @@ PayloadBuffer::PayloadBuffer(Token, std::shared_ptr<const void> owner,
 
 PayloadBuffer::PayloadBuffer(Token, std::vector<std::uint8_t> heap)
     : heap_(std::move(heap)), data_(heap_.data()), size_(heap_.size()) {}
-
-PayloadBuffer::PayloadBuffer(Token, void* map_base, std::size_t map_length,
-                             std::size_t view_offset, std::size_t view_length)
-    : map_base_(map_base),
-      map_length_(map_length),
-      data_(static_cast<const std::uint8_t*>(map_base) + view_offset),
-      size_(view_length) {}
-
-#if FGP_HAVE_MMAP
-
-std::shared_ptr<const PayloadBuffer> PayloadBuffer::map_file(
-    const std::filesystem::path& path, std::size_t view_offset,
-    std::size_t view_length) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0)
-    throw util::SerializationError("cannot open " + path.string() +
-                                   " for mapping");
-  struct ::stat st{};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    throw util::SerializationError("cannot stat " + path.string());
-  }
-  const auto file_size = static_cast<std::size_t>(st.st_size);
-  if (file_size == 0 || view_offset > file_size ||
-      view_length > file_size - view_offset) {
-    ::close(fd);
-    throw util::SerializationError(
-        "mmap window [" + std::to_string(view_offset) + ", " +
-        std::to_string(view_offset + view_length) + ") exceeds " +
-        path.string() + " (" + std::to_string(file_size) + " bytes)");
-  }
-  void* base = ::mmap(nullptr, file_size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);
-  if (base == MAP_FAILED)
-    throw util::SerializationError("mmap failed for " + path.string());
-  return std::make_shared<const PayloadBuffer>(Token{}, base, file_size,
-                                               view_offset, view_length);
-}
-
-PayloadBuffer::~PayloadBuffer() {
-  if (map_base_ != nullptr) ::munmap(map_base_, map_length_);
-}
-
-#else
-
-std::shared_ptr<const PayloadBuffer> PayloadBuffer::map_file(
-    const std::filesystem::path& path, std::size_t, std::size_t) {
-  throw util::SerializationError("no mmap support on this platform for " +
-                                 path.string());
-}
-
-PayloadBuffer::~PayloadBuffer() = default;
-
-#endif
 
 }  // namespace fgp::repository

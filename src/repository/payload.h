@@ -5,21 +5,16 @@
 // datasets, caches and concurrent sweep jobs may hold views of the same
 // slab without copies or locks (DESIGN.md §13). Two backings exist:
 //
-//   heap   an owned std::vector moved in at construction (generators,
-//          deserializers, the streamed store path);
-//   mmap   a private read-only mapping of a chunk file, exposing the
-//          payload region as a window into the mapping (the store's
-//          load_mapped path). The mapping lives exactly as long as the
-//          buffer, and the buffer lives as long as any chunk view of it.
-//
-// A third, borrowed backing supports the streaming window layer
-// (stream.h): the buffer aliases memory owned by someone else (a mapped
-// window) and holds a refcounted keep-alive so the owner cannot vanish
-// under the view (DESIGN.md §15).
+//   heap      an owned std::vector moved in at construction (generators,
+//             deserializers, DatasetStore::load, stitched streamed
+//             payloads);
+//   borrowed  the buffer aliases memory owned by someone else (a mapped
+//             window of the streaming layer, stream.h) and holds a
+//             refcounted keep-alive so the owner cannot vanish under the
+//             view (DESIGN.md §15).
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <span>
 #include <vector>
@@ -38,16 +33,8 @@ class PayloadBuffer {
   static std::shared_ptr<const PayloadBuffer> from_bytes(
       std::vector<std::uint8_t> bytes);
 
-  /// Maps `path` read-only (whole file, so no page-alignment constraint on
-  /// the view) and exposes [view_offset, view_offset + view_length) as the
-  /// buffer's bytes. Throws util::SerializationError when the file cannot
-  /// be opened or mapped, or the window exceeds the file; throws on
-  /// platforms where mmap_supported() is false.
-  static std::shared_ptr<const PayloadBuffer> map_file(
-      const std::filesystem::path& path, std::size_t view_offset,
-      std::size_t view_length);
-
-  /// True when this platform has the mmap read path compiled in.
+  /// True when this platform has the streaming layer's mmap read path
+  /// compiled in.
   static bool mmap_supported();
 
   /// Aliases `size` bytes at `data` owned by `owner` (e.g. a mapped
@@ -62,24 +49,18 @@ class PayloadBuffer {
   std::span<const std::uint8_t> bytes() const { return {data_, size_}; }
   const std::uint8_t* data() const { return data_; }
   std::size_t size() const { return size_; }
-  bool mapped() const { return map_base_ != nullptr; }
   /// True for a from_view buffer borrowing another owner's bytes.
   bool borrowed() const { return owner_ != nullptr; }
 
   PayloadBuffer(Token, std::vector<std::uint8_t> heap);
-  PayloadBuffer(Token, void* map_base, std::size_t map_length,
-                std::size_t view_offset, std::size_t view_length);
   PayloadBuffer(Token, std::shared_ptr<const void> owner,
                 const std::uint8_t* data, std::size_t size);
-  ~PayloadBuffer();
 
   PayloadBuffer(const PayloadBuffer&) = delete;
   PayloadBuffer& operator=(const PayloadBuffer&) = delete;
 
  private:
   std::vector<std::uint8_t> heap_;
-  void* map_base_ = nullptr;
-  std::size_t map_length_ = 0;
   std::shared_ptr<const void> owner_;  ///< keep-alive for from_view buffers
   const std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;

@@ -141,71 +141,6 @@ ChunkedDataset DatasetStore::load(const std::string& name,
   return ds;
 }
 
-ChunkedDataset DatasetStore::load_mapped(const std::string& name,
-                                         util::ThreadPool* pool) const {
-  if (!PayloadBuffer::mmap_supported()) return load(name, pool);
-  const obs::HostSpan io_span(trace_, "store", "load-mapped " + name);
-  const fs::path dir = dir_for(name);
-  auto [meta, count] = read_manifest(dir, name);
-
-  // Each chunk file is parsed in place: read the fixed 32-byte wire header,
-  // bound the payload length by the file, then map the file and hand the
-  // payload window to the chunk. The chunk's constructor checksums the
-  // mapped bytes, so corruption is caught exactly like the streamed path —
-  // only after that verification do the chunks alias the mapping.
-  std::vector<Chunk> chunks(count);
-  const auto map_chunk = [&](std::size_t i) {
-    const fs::path p = dir / ("chunk_" + std::to_string(i) + ".bin");
-    std::error_code ec;
-    const std::uint64_t file_size = fs::file_size(p, ec);
-    if (ec)
-      throw util::SerializationError("cannot stat " + p.string() + ": " +
-                                     ec.message());
-    if (file_size < Chunk::kWireHeaderBytes)
-      throw util::SerializationError("truncated chunk file " + p.string());
-    std::ifstream is(p, std::ios::binary);
-    if (!is.good())
-      throw util::SerializationError("cannot open " + p.string());
-    std::uint8_t header[Chunk::kWireHeaderBytes];
-    is.read(reinterpret_cast<char*>(header), sizeof(header));
-    if (!is.good())
-      throw util::SerializationError("truncated chunk stream: header");
-    util::ByteReader hr(header, sizeof(header));
-    const ChunkId id = hr.get_u64();
-    const double scale = hr.get_f64();
-    const std::uint64_t stored_checksum = hr.get_u64();
-    const std::uint64_t n = hr.get_u64();
-    if (n > file_size - Chunk::kWireHeaderBytes)
-      throw util::SerializationError(
-          "chunk " + std::to_string(id) + ": payload length " +
-          std::to_string(n) + " exceeds file " + p.string());
-    auto payload = PayloadBuffer::map_file(p, Chunk::kWireHeaderBytes,
-                                           static_cast<std::size_t>(n));
-    Chunk c(id, std::move(payload), scale);
-    if (c.checksum() != stored_checksum)
-      throw util::SerializationError(
-          "chunk " + std::to_string(id) +
-          ": checksum mismatch (corrupted payload)");
-    chunks[i] = std::move(c);
-    if (metrics_ != nullptr) {
-      metrics_->add("store.loaded_chunks", 1.0);
-      metrics_->add("store.loaded_bytes", static_cast<double>(file_size));
-      metrics_->add("store.mapped_bytes", static_cast<double>(file_size),
-                    obs::Domain::Host);
-    }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(static_cast<std::size_t>(count), map_chunk);
-  } else {
-    for (std::uint64_t i = 0; i < count; ++i)
-      map_chunk(static_cast<std::size_t>(i));
-  }
-
-  ChunkedDataset ds(meta);
-  for (auto& c : chunks) ds.add_chunk(std::move(c));
-  return ds;
-}
-
 ChunkedDataset DatasetStore::load_streamed(const std::string& name,
                                            const StreamConfig& cfg,
                                            util::ThreadPool* pool) const {

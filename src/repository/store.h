@@ -3,9 +3,12 @@
 // A repository node's data server "reads data chunks in from repository
 // disk"; this store gives the virtual cluster a real file layout to read:
 // one file per chunk plus a manifest, under a directory per dataset.
-// Benches keep datasets in memory (the virtual disk time is modeled), but
-// the store is exercised by tests and by the quickstart example so the
-// repository is a complete subsystem, not a stub.
+// There are two read paths: load() copies every payload onto the heap (the
+// reference, and the fallback where mmap is unavailable), and
+// load_streamed() serves payloads zero-copy through budget-bounded mmap
+// windows (stream.h, DESIGN.md §15). The virtual disk time is modeled
+// either way; the dataset-scaling benches and the out-of-core benchmark
+// read through load_streamed().
 #pragma once
 
 #include <filesystem>
@@ -34,8 +37,7 @@ class DatasetStore {
   /// wall-clock span per call (when the recorder has host recording on)
   /// and the integral counters store.saved_chunks / store.saved_bytes /
   /// store.loaded_chunks / store.loaded_bytes — integral so concurrent
-  /// chunk IO stays exact. load_mapped() additionally records the
-  /// host-domain counter store.mapped_bytes (bytes served via mmap).
+  /// chunk IO stays exact.
   DatasetStore(std::filesystem::path root, obs::TraceRecorder* trace,
                obs::Registry* metrics);
 
@@ -53,16 +55,7 @@ class DatasetStore {
   ChunkedDataset load(const std::string& name,
                       util::ThreadPool* pool = nullptr) const;
 
-  /// Zero-copy variant of load(): each chunk file is mapped read-only and
-  /// the returned chunks alias the mapped payload region (no heap copy of
-  /// the bytes), after the same checksum verification as load(). The
-  /// mappings live exactly as long as the chunks' payload buffers. On
-  /// platforms without mmap this falls back to the streamed load() path;
-  /// either way the returned dataset is byte-identical to load()'s.
-  ChunkedDataset load_mapped(const std::string& name,
-                             util::ThreadPool* pool = nullptr) const;
-
-  /// Out-of-core variant of load_mapped(): only the fixed 32-byte wire
+  /// Out-of-core, zero-copy variant of load(): only the fixed 32-byte wire
   /// headers are read up front (a non-null `pool` scans them
   /// concurrently); the returned dataset holds metadata-only chunk
   /// handles plus a StoreStreamSource that materializes payloads on

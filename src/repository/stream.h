@@ -1,7 +1,7 @@
 // stream.h — bounded streaming window layer for out-of-core datasets.
 //
-// PR 5's load_mapped maps whole chunk files, so the largest dataset a
-// sweep can touch is bounded by host memory. This layer removes that
+// DatasetStore::load copies every chunk onto the heap, so the largest
+// dataset it can hold is bounded by host memory. This layer removes that
 // bound: chunk files are read through fixed-size, page-aligned mmap
 // windows (PROT_READ / MAP_PRIVATE, madvise WILLNEED on map and DONTNEED
 // on recycle) recycled under a hard byte budget, so a dataset 10–100×

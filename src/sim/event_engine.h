@@ -4,10 +4,11 @@
 // accounting cannot express: contended WAN pipes whose senders join and
 // leave at different times (SharedPipe below). Simulated cost scales with
 // the number of *events* (state changes), so a thousand-machine grid
-// where almost nothing changes per step costs almost nothing to simulate
-// (bench/sim_perf measures the 128→4,096-node ladder). The freeride
-// runtime does not use it: a phase costs its slowest node, a max its pass
-// loop folds inline.
+// where almost nothing changes per step costs almost nothing to simulate.
+// The freeride runtime does not use it: a phase costs its slowest node, a
+// max its pass loop folds inline. Its only callers are tests, which pin
+// canonical replay (tests/test_event_engine.cpp, including a
+// 1,024-machine closed-loop fleet replayed bit-identically).
 //
 // Determinism contract (DESIGN.md §18): events dispatch in the canonical
 // total order (time, sequence, node_id, event_kind). `sequence` is the
@@ -158,7 +159,7 @@ class EventEngine {
 /// completion, so every transfer sees one constant rate. The freeride
 /// runtime's network phase charges exactly that closed form per segment
 /// (model parity with the paper); this class is the *contended* mode for
-/// multi-tenant scenario sweeps (bench/sim_perf).
+/// multi-tenant scenario sweeps.
 class SharedPipe {
  public:
   /// Validates `spec` (WanSpec::validate).

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "util/check.h"
-
 namespace fgp::util {
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -26,25 +24,11 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  auto pt = std::make_shared<std::packaged_task<void()>>(std::move(task));
-  auto fut = pt->get_future();
-  {
-    std::lock_guard lock(mu_);
-    FGP_CHECK_MSG(!stop_, "submit on stopped ThreadPool");
-    tasks_.push([pt] { (*pt)(); });
-  }
-  tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
-  cv_.notify_one();
-  return fut;
-}
-
 PoolStats ThreadPool::stats() const {
   PoolStats s;
   s.parallel_for_calls = parallel_for_calls_.load(std::memory_order_relaxed);
   s.blocks_total = blocks_total_.load(std::memory_order_relaxed);
   s.blocks_by_helpers = blocks_by_helpers_.load(std::memory_order_relaxed);
-  s.tasks_submitted = tasks_submitted_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -20,8 +20,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -39,7 +39,6 @@ struct PoolStats {
   unsigned long long parallel_for_calls = 0;
   unsigned long long blocks_total = 0;
   unsigned long long blocks_by_helpers = 0;  ///< claimed off the caller thread
-  unsigned long long tasks_submitted = 0;    ///< submit() calls
 };
 
 class ThreadPool {
@@ -50,9 +49,6 @@ class ThreadPool {
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task; the returned future rethrows any task exception.
-  std::future<void> submit(std::function<void()> task);
 
   /// Runs fn(i) for i in [0, n) across the pool and waits for *all* indices
   /// to finish, even when some throw; the lowest-index task's exception is
@@ -113,7 +109,6 @@ class ThreadPool {
   std::atomic<unsigned long long> parallel_for_calls_{0};
   std::atomic<unsigned long long> blocks_total_{0};
   std::atomic<unsigned long long> blocks_by_helpers_{0};
-  std::atomic<unsigned long long> tasks_submitted_{0};
 };
 
 }  // namespace fgp::util

@@ -3,8 +3,12 @@
 // global-reduction predictor must be exact.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <initializer_list>
 #include <memory>
 #include <numeric>
+#include <tuple>
 #include <vector>
 
 #include "freeride/runtime.h"
@@ -162,6 +166,20 @@ inline freeride::JobSetup pentium_setup(const repository::ChunkedDataset* ds,
   setup.config.data_nodes = data_nodes;
   setup.config.compute_nodes = compute_nodes;
   return setup;
+}
+
+/// The (data nodes n, compute nodes c) pairs of ns x cs that the
+/// middleware accepts (n <= c: at least one compute node per data node),
+/// in ::testing::Combine order, for a config sweep's
+/// INSTANTIATE_TEST_SUITE_P. ctest names carry the pair, not an index, so
+/// each pair keeps its name.
+inline auto valid_configs(std::initializer_list<int> ns,
+                          std::initializer_list<int> cs) {
+  std::vector<std::tuple<int, int>> pairs;
+  for (const int n : ns)
+    for (const int c : cs)
+      if (n <= c) pairs.emplace_back(n, c);
+  return ::testing::ValuesIn(pairs);
 }
 
 }  // namespace fgp::testing

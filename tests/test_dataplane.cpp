@@ -107,9 +107,9 @@ TEST(DataPlane, SharedViewSweepBitIdenticalToDeepCopyAcrossPools) {
 
 TEST(DataPlane, StreamedSweepBitIdenticalToInMemoryAcrossPools) {
   // The out-of-core plane (DESIGN.md §15): the same fig07-style figure
-  // driven through budget-bounded mmap windows with block prefetch must
-  // reproduce the in-memory artifacts bit for bit at pools 1, 2 and 8 —
-  // prefetch and window recycling only move host wall-clock time.
+  // driven through budget-bounded mmap windows must reproduce the
+  // in-memory artifacts bit for bit at pools 1, 2 and 8 — window mapping
+  // and recycling only move host wall-clock time.
   const BenchApp target = make_em_app(80.0, 1.0, 42, 2);
   const BenchApp profile = with_virtual_size(target, 20.0);
   // A deliberately tight budget, so the sweep recycles windows constantly
@@ -154,7 +154,7 @@ TEST(DataPlane, NoPoolTaskOutlivesRun) {
     }  // registry, streamed dataset and its temp store are gone here
     // Churn the pool: a leftover task would now run against the destroyed
     // registry/window pool instead of these no-ops.
-    for (int i = 0; i < 32; ++i) pool.submit([] {}).wait();
+    for (int i = 0; i < 32; ++i) pool.parallel_for(2, [](std::size_t) {});
   }
 }
 

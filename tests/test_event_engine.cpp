@@ -5,13 +5,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "sim/event_engine.h"
 #include "sim/network.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace fgp::sim {
 namespace {
@@ -288,6 +291,102 @@ TEST(SharedPipe, TwoPipesShareOneEngineWithoutCrosstalk) {
   EXPECT_DOUBLE_EQ(done_fast[0].end_time, w.transfer_time(1e6, 1, 1, 2e6));
   EXPECT_DOUBLE_EQ(done_slow[0].end_time,
                    slow_spec.transfer_time(1e6, 1, 1, 2e6));
+}
+
+TEST(SharedPipe, ClosedLoopFleetReplaysBitIdentically) {
+  // A fleet-scale closed loop: 1,024 machines with four NIC generations
+  // (older ones slow enough to bind against their pipe share) push 5,000
+  // transfers through eight contended pipes, at most 256 in flight, a new
+  // transfer starting at each completion. A startup compute event per
+  // machine keeps the whole fleet in the heap at once. Two runs must
+  // complete every transfer exactly once and agree on every completion
+  // time bit for bit.
+  constexpr int kNodes = 1024;
+  constexpr std::size_t kPipes = 8;
+  constexpr std::uint64_t kWindow = 256;
+  constexpr std::uint64_t kTransfers = 5000;
+
+  util::Rng fleet_rng(0x51e9f00d);
+  std::vector<double> nic_Bps;
+  for (int n = 0; n < kNodes; ++n) {
+    static constexpr double kGenerations[] = {2e6, 4e6, 8e6, 16e6};
+    nic_Bps.push_back(kGenerations[n % 4] * fleet_rng.uniform(0.75, 1.0));
+  }
+  std::vector<WanSpec> specs;
+  for (std::size_t p = 0; p < kPipes; ++p) {
+    WanSpec w;
+    w.per_link_Bps = 4e6 * static_cast<double>(1 + p % 4);
+    w.aggregate_cap_Bps = w.per_link_Bps * 12.0;
+    w.latency_s = 0.002 * static_cast<double>(1 + p % 3);
+    w.protocol_overhead = 0.05;
+    specs.push_back(w);
+  }
+
+  struct Replay {
+    std::uint64_t checksum = 0;
+    std::uint64_t events = 0;
+  };
+  const auto run = [&] {
+    EventEngine engine;
+    std::vector<SharedPipe> pipes;
+    pipes.reserve(kPipes);
+    for (std::size_t p = 0; p < kPipes; ++p)
+      pipes.emplace_back(specs[p], "repo-" + std::to_string(p));
+    for (int n = 0; n < kNodes; ++n)
+      engine.schedule(1e-6 * (n + 1), n, EventKind::ComputeBlockDone);
+
+    util::Rng rng(0xbe7c4a11);
+    std::uint64_t started = 0;
+    const auto begin_next = [&](double start) {
+      const int node = static_cast<int>(started % kNodes);
+      pipes[started % kPipes].begin_transfer(
+          engine, start, node, rng.uniform(64e3, 4e6), 1 + started % 7,
+          nic_Bps[static_cast<std::size_t>(node)]);
+      ++started;
+    };
+    for (std::uint64_t t = 0; t < kWindow; ++t) begin_next(1e-5 * (t + 1));
+
+    // seen[p][id]: per-pipe transfer ids are dense from 0.
+    std::vector<std::vector<bool>> seen(kPipes);
+    std::uint64_t completed = 0;
+    Replay r;
+    while (!engine.empty()) {
+      const Event ev = engine.pop();
+      for (std::size_t p = 0; p < kPipes; ++p) {
+        const auto done = pipes[p].on_event(engine, ev);
+        if (!done) continue;
+        auto& ids = seen[p];
+        if (ids.size() <= done->transfer) ids.resize(done->transfer + 1);
+        EXPECT_FALSE(ids[done->transfer])
+            << "pipe " << p << " transfer " << done->transfer
+            << " completed twice";
+        ids[done->transfer] = true;
+        ++completed;
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &done->end_time, sizeof(bits));
+        r.checksum ^= bits + 0x9e3779b97f4a7c15ULL * done->transfer;
+        if (started < kTransfers) begin_next(engine.now());
+        break;
+      }
+    }
+    EXPECT_EQ(started, kTransfers);
+    EXPECT_EQ(completed, kTransfers);
+    for (std::size_t p = 0; p < kPipes; ++p) {
+      EXPECT_EQ(static_cast<std::size_t>(
+                    std::count(seen[p].begin(), seen[p].end(), true)),
+                pipes[p].total_transfers())
+          << "pipe " << p;
+      EXPECT_EQ(pipes[p].active_transfers(), 0) << "pipe " << p;
+    }
+    r.events = engine.events_dispatched();
+    return r;
+  };
+
+  const Replay a = run();
+  const Replay b = run();
+  EXPECT_NE(a.checksum, 0u);
+  EXPECT_EQ(a.checksum, b.checksum);
+  EXPECT_EQ(a.events, b.events);
 }
 
 TEST(SharedPipe, RejectsInvalidSpecAndInputs) {

@@ -411,7 +411,6 @@ class RuntimeConfigSweep
 
 TEST_P(RuntimeConfigSweep, AnswerAndPhaseAccountingHold) {
   const auto [n, c] = GetParam();
-  if (c < n) GTEST_SKIP() << "violates M >= N";
   const auto ds = make_sum_dataset(30, 40);
   auto setup = pentium_setup(&ds, n, c);
   SumKernel kernel;
@@ -427,8 +426,7 @@ TEST_P(RuntimeConfigSweep, AnswerAndPhaseAccountingHold) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, RuntimeConfigSweep,
-    ::testing::Combine(::testing::Values(1, 2, 4, 8),
-                       ::testing::Values(1, 2, 4, 8, 16)));
+    fgp::testing::valid_configs({1, 2, 4, 8}, {1, 2, 4, 8, 16}));
 
 }  // namespace
 }  // namespace fgp::freeride

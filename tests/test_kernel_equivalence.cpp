@@ -8,24 +8,31 @@
 // scalar evaluation within a small relative tolerance, repeat runs are
 // bit-identical, and the shapes that stress the lane tail (odd counts,
 // tiny d, d not a multiple of the block width) behave like the aligned
-// ones.
+// ones. The integer-valued vortex and defect kernels must match their
+// seed scalar sweeps exactly.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <unordered_map>
 #include <vector>
 
 #include "apps/ann.h"
+#include "apps/defect.h"
 #include "apps/em.h"
 #include "apps/kmeans.h"
 #include "apps/knn.h"
+#include "apps/vortex.h"
+#include "datagen/flowfield.h"
+#include "datagen/lattice.h"
 #include "repository/chunk.h"
 #include "repository/store.h"
 #include "util/rng.h"
 #include "util/serial.h"
 #include "util/simd.h"
+#include "util/union_find.h"
 
 namespace fgp {
 namespace {
@@ -71,6 +78,123 @@ void expect_rel_near(double expected, double actual, double rel,
                      const std::string& what) {
   const double scale = std::max({1.0, std::abs(expected), std::abs(actual)});
   EXPECT_NEAR(expected, actual, rel * scale) << what;
+}
+
+// Seed scalar sweeps for the two integer-valued kernels: per-cell view
+// lookups and dense loops, with no hoisted rows or 8-byte skips. Each
+// returns the marked-cell total and the structure count, which the fast
+// kernels must reproduce exactly.
+struct SweepSummary {
+  std::uint64_t marked_cells = 0;
+  std::size_t structures = 0;
+};
+
+double naive_vorticity(const datagen::FieldChunkView& view, std::uint32_t gy,
+                       std::uint32_t gx) {
+  const double dvdx = 0.5 * (view.at(gy, gx + 1).v - view.at(gy, gx - 1).v);
+  const double dudy = 0.5 * (view.at(gy + 1, gx).u - view.at(gy - 1, gx).u);
+  return dvdx - dudy;
+}
+
+SweepSummary naive_vortex_sweep(const repository::ChunkedDataset& ds,
+                                const apps::VortexParams& params) {
+  SweepSummary out;
+  for (const auto& chunk : ds.chunks()) {
+    const auto view = datagen::parse_field_chunk(chunk);
+    const auto& h = view.header;
+    const std::uint32_t W = h.width;
+    std::vector<std::int8_t> mark(static_cast<std::size_t>(h.rows) * W, 0);
+    for (std::uint32_t row = 0; row < h.rows; ++row) {
+      const std::uint32_t gy = h.row0 + row;
+      if (gy == 0 || gy + 1 >= h.height) continue;
+      for (std::uint32_t gx = 1; gx + 1 < W; ++gx) {
+        const double w = naive_vorticity(view, gy, gx);
+        if (w > params.vorticity_threshold)
+          mark[static_cast<std::size_t>(row) * W + gx] = 1;
+        else if (w < -params.vorticity_threshold)
+          mark[static_cast<std::size_t>(row) * W + gx] = -1;
+      }
+    }
+    util::UnionFind uf(static_cast<std::size_t>(h.rows) * W);
+    for (std::uint32_t row = 0; row < h.rows; ++row) {
+      for (std::uint32_t x = 0; x < W; ++x) {
+        const std::size_t idx = static_cast<std::size_t>(row) * W + x;
+        if (mark[idx] == 0) continue;
+        if (x + 1 < W && mark[idx + 1] == mark[idx]) uf.unite(idx, idx + 1);
+        if (row + 1 < h.rows && mark[idx + W] == mark[idx])
+          uf.unite(idx, idx + W);
+      }
+    }
+    std::unordered_map<std::size_t, std::size_t> roots;
+    for (std::size_t idx = 0; idx < mark.size(); ++idx) {
+      if (mark[idx] == 0) continue;
+      roots.try_emplace(uf.find(idx), roots.size());
+      out.marked_cells += 1;
+    }
+    out.structures += roots.size();
+  }
+  return out;
+}
+
+SweepSummary naive_defect_sweep(const repository::ChunkedDataset& ds) {
+  constexpr std::uint8_t kNoDefect = 0xFF;
+  SweepSummary out;
+  for (const auto& chunk : ds.chunks()) {
+    const auto view = datagen::parse_lattice_chunk(chunk);
+    const auto& h = view.header;
+    const std::size_t nx = h.nx, ny = h.ny, nz = h.zslabs;
+    const std::size_t cells = nx * ny * nz;
+    std::vector<std::uint16_t> occupancy(cells, 0);
+    std::vector<std::uint8_t> displaced(cells, 0);
+    const double tol2 = static_cast<double>(h.displacement_tol) *
+                        static_cast<double>(h.displacement_tol);
+    for (const auto& a : view.atoms) {
+      const auto ix = static_cast<std::int64_t>(std::lround(a.x));
+      const auto iy = static_cast<std::int64_t>(std::lround(a.y));
+      const auto iz = static_cast<std::int64_t>(std::lround(a.z));
+      const std::size_t i =
+          ((static_cast<std::size_t>(iz - h.z0) * ny + iy) * nx) + ix;
+      occupancy[i] += 1;
+      const double dx = a.x - static_cast<double>(ix);
+      const double dy = a.y - static_cast<double>(iy);
+      const double dz = a.z - static_cast<double>(iz);
+      if (dx * dx + dy * dy + dz * dz > tol2) displaced[i] = 1;
+    }
+    std::vector<std::uint8_t> kind_of(cells, kNoDefect);
+    for (std::size_t i = 0; i < cells; ++i) {
+      if (occupancy[i] == 0)
+        kind_of[i] = static_cast<std::uint8_t>(datagen::DefectKind::Vacancy);
+      else if (occupancy[i] >= 2)
+        kind_of[i] =
+            static_cast<std::uint8_t>(datagen::DefectKind::Interstitial);
+      else if (displaced[i])
+        kind_of[i] = static_cast<std::uint8_t>(datagen::DefectKind::Displaced);
+    }
+    const auto idx_of = [&](std::size_t x, std::size_t y, std::size_t z) {
+      return (z * ny + y) * nx + x;
+    };
+    util::UnionFind uf(cells);
+    for (std::size_t z = 0; z < nz; ++z)
+      for (std::size_t y = 0; y < ny; ++y)
+        for (std::size_t x = 0; x < nx; ++x) {
+          const std::size_t i = idx_of(x, y, z);
+          if (kind_of[i] == kNoDefect) continue;
+          if (x + 1 < nx && kind_of[idx_of(x + 1, y, z)] == kind_of[i])
+            uf.unite(i, idx_of(x + 1, y, z));
+          if (y + 1 < ny && kind_of[idx_of(x, y + 1, z)] == kind_of[i])
+            uf.unite(i, idx_of(x, y + 1, z));
+          if (z + 1 < nz && kind_of[idx_of(x, y, z + 1)] == kind_of[i])
+            uf.unite(i, idx_of(x, y, z + 1));
+        }
+    std::unordered_map<std::size_t, std::size_t> roots;
+    for (std::size_t i = 0; i < cells; ++i) {
+      if (kind_of[i] == kNoDefect) continue;
+      roots.try_emplace(uf.find(i), roots.size());
+      out.marked_cells += 1;
+    }
+    out.structures += roots.size();
+  }
+  return out;
 }
 
 // ------------------------------------------------------------- simd layer
@@ -455,11 +579,63 @@ TEST(KernelEquivalence, AnnChunkMatchesNaiveScalar) {
   EXPECT_EQ(wa.bytes(), wb.bytes());
 }
 
-TEST(KernelEquivalence, MmapLoadedChunkBitIdenticalToHeapChunk) {
+TEST(KernelEquivalence, VortexChunkMatchesNaiveScalar) {
+  // A 192x192 flow field with six planted vortices: the hoisted-row
+  // stencil and the 8-cell empty-group skips must mark exactly the cells
+  // the per-cell seed loop marks, in exactly as many fragments.
+  datagen::FlowSpec spec;
+  spec.width = 192;
+  spec.height = 192;
+  spec.rows_per_chunk = 32;
+  spec.num_vortices = 6;
+  spec.seed = 41;
+  const auto data = datagen::generate_flowfield(spec);
+  const apps::VortexParams params;
+  const SweepSummary naive = naive_vortex_sweep(data.dataset, params);
+
+  apps::VortexKernel kernel(params);
+  auto obj = kernel.create_object();
+  for (const auto& chunk : data.dataset.chunks())
+    kernel.process_chunk(chunk, *obj);
+  const auto& fast = dynamic_cast<const apps::VortexObject&>(*obj);
+  std::uint64_t marked = 0;
+  for (const auto& f : fast.fragments) marked += f.cells;
+
+  ASSERT_GT(naive.marked_cells, 0u);
+  EXPECT_EQ(marked, naive.marked_cells);
+  EXPECT_EQ(fast.fragments.size(), naive.structures);
+}
+
+TEST(KernelEquivalence, DefectChunkMatchesNaiveScalar) {
+  // A 40^3 silicon lattice: lrint site rounding and the 8-byte slab skips
+  // must find exactly the defect cells and structures of the seed loop.
+  datagen::LatticeSpec spec;
+  spec.nx = 40;
+  spec.ny = 40;
+  spec.nz = 40;
+  spec.zslabs_per_chunk = 12;
+  spec.seed = 47;
+  const auto data = datagen::generate_lattice(spec);
+  const SweepSummary naive = naive_defect_sweep(data.dataset);
+
+  apps::DefectKernel kernel;
+  auto obj = kernel.create_object();
+  for (const auto& chunk : data.dataset.chunks())
+    kernel.process_chunk(chunk, *obj);
+  const auto& fast = dynamic_cast<const apps::DefectObject&>(*obj);
+  std::uint64_t marked = 0;
+  for (const auto& st : fast.structures) marked += st.cells.size() / 3;
+
+  ASSERT_GT(naive.structures, 0u);
+  EXPECT_EQ(marked, naive.marked_cells);
+  EXPECT_EQ(fast.structures.size(), naive.structures);
+}
+
+TEST(KernelEquivalence, StreamedWindowChunkBitIdenticalToHeapChunk) {
   // A kernel must not care where the payload bytes live: processing a
-  // chunk whose payload aliases an mmap'd file region produces serialized
+  // chunk whose payload borrows a streamed mmap window produces serialized
   // results byte-identical to the same chunk held in heap memory
-  // (DESIGN.md §13 — the data plane is ownership-transparent).
+  // (DESIGN.md §13, §15 — the data plane is ownership-transparent).
   util::Rng rng(205);
   const std::size_t d = 5, k = 3, count = 101;
   const auto points = random_vec(rng, count * d, -8.0, 8.0);
@@ -477,18 +653,23 @@ TEST(KernelEquivalence, MmapLoadedChunkBitIdenticalToHeapChunk) {
   std::filesystem::remove_all(root);
   repository::DatasetStore store(root);
   store.save(ds);
-  const auto mapped = store.load_mapped("mmapeq");
-  ASSERT_EQ(mapped.chunk_count(), 1u);
+  const auto streamed = store.load_streamed("mmapeq");
+  ASSERT_EQ(streamed.chunk_count(), 1u);
+  const repository::Chunk window_chunk = streamed.materialize(0);
+  if (repository::PayloadBuffer::mmap_supported()) {
+    // One 4 KB payload fits one window: a borrowed view, not a heap copy.
+    EXPECT_TRUE(window_chunk.payload_buffer()->borrowed());
+  }
 
   auto heap_obj = kernel.create_object();
   kernel.process_chunk(ds.chunk(0), *heap_obj);
-  auto mapped_obj = kernel.create_object();
-  kernel.process_chunk(mapped.chunk(0), *mapped_obj);
+  auto window_obj = kernel.create_object();
+  kernel.process_chunk(window_chunk, *window_obj);
 
-  util::ByteWriter heap_bytes, mapped_bytes;
+  util::ByteWriter heap_bytes, window_bytes;
   heap_obj->serialize(heap_bytes);
-  mapped_obj->serialize(mapped_bytes);
-  EXPECT_EQ(heap_bytes.bytes(), mapped_bytes.bytes());
+  window_obj->serialize(window_bytes);
+  EXPECT_EQ(heap_bytes.bytes(), window_bytes.bytes());
   std::filesystem::remove_all(root);
 }
 

@@ -165,7 +165,6 @@ class KnnConfigSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(KnnConfigSweep, ExactAcrossConfigs) {
   const auto [n, c] = GetParam();
-  if (c < n) GTEST_SKIP();
   static const Fixture f;
   KnnKernel kernel(make_params(f, 5));
   auto setup = ideal_setup(&f.data.dataset, n, c);
@@ -180,7 +179,7 @@ TEST_P(KnnConfigSweep, ExactAcrossConfigs) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, KnnConfigSweep,
-    ::testing::Combine(::testing::Values(1, 2, 4), ::testing::Values(1, 4, 8)));
+    fgp::testing::valid_configs({1, 2, 4}, {1, 4, 8}));
 
 }  // namespace
 }  // namespace fgp::apps

@@ -346,52 +346,6 @@ TEST(Store, RejectsPathTraversalNames) {
   std::filesystem::remove_all(store.root());
 }
 
-TEST(Store, MappedLoadMatchesStreamedLoad) {
-  util::ThreadPool pool(3);
-  DatasetStore store(temp_root());
-  ChunkedDataset ds(DatasetMeta{"mapped", "f64", 13});
-  ds.add_chunk(make_chunk<double>(0, {1, 2, 3}, 2.0));
-  ds.add_chunk(make_chunk<double>(1, {}, 2.0));  // zero-length payload
-  ds.add_chunk(make_chunk<double>(2, {4, 5, 6, 7}, 2.0));
-  store.save(ds);
-
-  const ChunkedDataset streamed = store.load("mapped");
-  const ChunkedDataset mapped = store.load_mapped("mapped");
-  const ChunkedDataset pooled_mapped = store.load_mapped("mapped", &pool);
-  ASSERT_EQ(mapped.chunk_count(), ds.chunk_count());
-  ASSERT_EQ(pooled_mapped.chunk_count(), ds.chunk_count());
-  EXPECT_DOUBLE_EQ(mapped.total_virtual_bytes(), ds.total_virtual_bytes());
-  for (std::size_t i = 0; i < ds.chunk_count(); ++i) {
-    EXPECT_EQ(mapped.chunk(i).id(), streamed.chunk(i).id());
-    EXPECT_EQ(mapped.chunk(i).checksum(), streamed.chunk(i).checksum());
-    EXPECT_TRUE(same_payload(mapped.chunk(i), streamed.chunk(i)));
-    EXPECT_TRUE(same_payload(pooled_mapped.chunk(i), streamed.chunk(i)));
-    EXPECT_TRUE(mapped.chunk(i).verify());
-  }
-  if (PayloadBuffer::mmap_supported()) {
-    // Non-empty payloads alias the mapped file region, not a heap copy.
-    EXPECT_TRUE(mapped.chunk(0).payload_buffer()->mapped());
-  }
-  std::filesystem::remove_all(store.root());
-}
-
-TEST(Store, MappedLoadDetectsCorruption) {
-  DatasetStore store(temp_root());
-  ChunkedDataset ds(DatasetMeta{"mcorrupt", "f64", 0});
-  ds.add_chunk(make_chunk<double>(0, {9, 8, 7}));
-  store.save(ds);
-  const auto path = store.root() / "mcorrupt" / "chunk_0.bin";
-  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-  char last;
-  f.seekg(-1, std::ios::end);
-  f.get(last);
-  f.seekp(-1, std::ios::end);
-  f.put(static_cast<char>(last ^ 0x1));
-  f.close();
-  EXPECT_THROW(store.load_mapped("mcorrupt"), util::SerializationError);
-  std::filesystem::remove_all(store.root());
-}
-
 TEST(Store, ExistsFalseForManifestlessDirectoryAndMissingName) {
   DatasetStore store(temp_root());
   EXPECT_FALSE(store.exists("never-saved"));
@@ -410,7 +364,6 @@ TEST(Store, MissingChunkFileThrowsWhileManifestExists) {
   std::filesystem::remove(store.root() / "holey" / "chunk_1.bin");
   EXPECT_TRUE(store.exists("holey"));  // manifest still present
   EXPECT_THROW(store.load("holey"), util::SerializationError);
-  EXPECT_THROW(store.load_mapped("holey"), util::SerializationError);
   std::filesystem::remove_all(store.root());
 }
 

@@ -281,16 +281,6 @@ TEST(Table, FormatHelpers) {
 
 // ------------------------------------------------------------ thread pool
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 50; ++i)
-    futures.push_back(pool.submit([&counter] { ++counter; }));
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 50);
-}
-
 TEST(ThreadPool, ParallelForCoversAllIndices) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(64);
@@ -299,9 +289,13 @@ TEST(ThreadPool, ParallelForCoversAllIndices) {
 }
 
 TEST(ThreadPool, PropagatesTaskException) {
+  // A task's typed error reaches the parallel_for caller as that type.
   ThreadPool pool(2);
-  auto f = pool.submit([] { throw Error("boom"); });
-  EXPECT_THROW(f.get(), Error);
+  EXPECT_THROW(pool.parallel_for(8,
+                                 [](std::size_t i) {
+                                   if (i == 5) throw Error("boom");
+                                 }),
+               Error);
 }
 
 TEST(ThreadPool, DefaultsToAtLeastOneWorker) {

@@ -9,10 +9,10 @@
 // and the allow annotations read the raw lines.
 //
 // Contract rules (each maps to a DESIGN contract; see DESIGN.md §14):
-//   parallel-capture     a lambda passed to ThreadPool::parallel_for /
-//                        ThreadPool::submit (or a known fan-out wrapper)
-//                        that captures by reference and assigns to a
-//                        captured name without an index-owned slot
+//   parallel-capture     a lambda passed to ThreadPool::parallel_for (or
+//                        a known fan-out wrapper) that captures by
+//                        reference and assigns to a captured name
+//                        without an index-owned slot
 //                        (`name[i] = ...`) violates the block-reduction
 //                        sharing protocol of DESIGN §11 — the data races
 //                        TSan only finds when the schedule cooperates.

@@ -603,11 +603,10 @@ std::vector<Lambda> find_lambdas(const Tokens& toks,
 }
 
 /// Function names whose callable argument runs on pool workers. The
-/// ThreadPool API (parallel_for / submit) plus the known local fan-out
-/// wrappers; extend this list when adding a new fan-out entry point.
+/// ThreadPool API (parallel_for) plus the known local fan-out wrappers;
+/// extend this list when adding a new fan-out entry point.
 bool is_parallel_sink(std::string_view name) {
-  return name == "parallel_for" || name == "submit" ||
-         name == "for_each_chunk";
+  return name == "parallel_for" || name == "for_each_chunk";
 }
 
 void mark_parallel_lambdas(const Tokens& toks,
