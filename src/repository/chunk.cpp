@@ -36,7 +36,7 @@ Chunk::Chunk(ChunkId id, std::shared_ptr<const PayloadBuffer> payload,
   FGP_CHECK_MSG(virtual_scale_ > 0.0, "virtual_scale must be positive");
   virtual_bytes_ = static_cast<double>(real_bytes()) * virtual_scale_;
   const auto bytes = this->payload();
-  checksum_ = util::fnv1a(bytes.data(), bytes.size());
+  checksum_ = util::xxh64(bytes.data(), bytes.size());
 }
 
 Chunk Chunk::metadata_only(ChunkId id, std::uint64_t real_bytes,
@@ -65,7 +65,7 @@ Chunk Chunk::with_virtual_scale(double virtual_scale) const {
 
 bool Chunk::verify() const {
   const auto bytes = payload();
-  return checksum_ == util::fnv1a(bytes.data(), bytes.size());
+  return checksum_ == util::xxh64(bytes.data(), bytes.size());
 }
 
 void Chunk::serialize(util::ByteWriter& w) const {

@@ -100,7 +100,7 @@ class Chunk {
   /// payload slab and checksum, copies only the handle and metadata.
   Chunk with_virtual_scale(double virtual_scale) const;
 
-  /// Recomputes the FNV checksum and compares to the stored one.
+  /// Recomputes the XXH64 checksum and compares to the stored one.
   bool verify() const;
 
   void serialize(util::ByteWriter& w) const;

@@ -36,13 +36,9 @@ std::size_t page_size() {
 
 WindowPool::Window::~Window() {
 #if FGP_HAVE_STREAM_MMAP
-  if (base_ != nullptr) {
-    // The window leaves the address space for good: advise the kernel its
-    // pages are done before unmapping (the DONTNEED half of the
-    // WILLNEED/DONTNEED pair — DESIGN.md §15).
-    ::madvise(base_, length_, MADV_DONTNEED);
-    ::munmap(base_, length_);
-  }
+  // A read-only private file mapping has no copy-on-write pages, so
+  // munmap alone drops every page-table entry (DESIGN.md §15).
+  if (base_ != nullptr) ::munmap(base_, length_);
 #endif
 }
 

@@ -3,7 +3,7 @@
 // DatasetStore::load copies every chunk onto the heap, so the largest
 // dataset it can hold is bounded by host memory. This layer removes that
 // bound: chunk files are read through fixed-size, page-aligned mmap
-// windows (PROT_READ / MAP_PRIVATE, madvise WILLNEED on map and DONTNEED
+// windows (PROT_READ / MAP_PRIVATE, madvise WILLNEED on map, a bare munmap
 // on recycle) recycled under a hard byte budget, so a dataset 10–100×
 // larger than RAM streams through the repository with a flat resident
 // set. Ownership and lifetime rules are DESIGN.md §15:

@@ -142,8 +142,9 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// FNV-1a checksum over a byte range; used by the chunk format to detect
-/// corrupted payloads (failure-injection tests rely on this).
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n);
+/// XXH64 (seed 0) over a byte range: the chunk format's checksum, which
+/// detects corrupted payloads on load and on every streamed fetch
+/// (failure-injection tests rely on this). Accepts (nullptr, 0).
+std::uint64_t xxh64(const std::uint8_t* data, std::size_t n);
 
 }  // namespace fgp::util

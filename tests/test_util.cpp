@@ -124,17 +124,59 @@ TEST(Serial, RemainingCountsDown) {
   EXPECT_EQ(r.remaining(), 4u);
 }
 
-TEST(Serial, Fnv1aMatchesKnownVector) {
-  // FNV-1a("a") is a published constant.
-  const std::uint8_t a = 'a';
-  EXPECT_EQ(fnv1a(&a, 1), 0xaf63dc4c8601ec8cull);
+/// XXH64 of `s` hashed from a heap buffer of exactly its length, so the
+/// address sanitizer catches a read past the tail.
+std::uint64_t xxh64_of(const std::string& s) {
+  const std::vector<std::uint8_t> bytes(s.begin(), s.end());
+  return xxh64(bytes.data(), bytes.size());
 }
 
-TEST(Serial, Fnv1aDetectsSingleBitFlip) {
-  std::vector<std::uint8_t> data(128, 0x5A);
-  const auto h1 = fnv1a(data.data(), data.size());
-  data[64] ^= 1;
-  EXPECT_NE(h1, fnv1a(data.data(), data.size()));
+TEST(Serial, Xxh64MatchesPublishedVectors) {
+  // The reference xxHash implementation's values at seed 0.
+  EXPECT_EQ(xxh64(nullptr, 0), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(xxh64_of(""), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(xxh64_of("a"), 0xD24EC4F1A98C6E5Bull);
+  EXPECT_EQ(xxh64_of("abc"), 0x44BC2CF5AD770999ull);
+  EXPECT_EQ(xxh64_of("abcd"), 0xDE0327B0D25D92CCull);  // the 4-byte tail alone
+  // Exactly one 32-byte stripe and no tail.
+  EXPECT_EQ(xxh64_of("Nobody inspects the spammish rep"),
+            0x96F5BFCBFE7F0D1Aull);
+  // 39 bytes: one 32-byte stripe, then the 4-byte and 1-byte tails.
+  EXPECT_EQ(xxh64_of("Nobody inspects the spammish repetition"),
+            0xFBCEA83C8A378BF1ull);
+  // 43 bytes: one 32-byte stripe, then the 8-byte and 1-byte tails.
+  EXPECT_EQ(xxh64_of("The quick brown fox jumps over the lazy dog"),
+            0x0B242D361FDA71BCull);
+}
+
+TEST(Serial, Xxh64DetectsEveryBitFlipAtEveryLength) {
+  // Lengths 0..96 reach every mix of 32-byte stripes with the 8-, 4- and
+  // 1-byte tails. Each buffer is allocated at exactly its length.
+  Rng rng(15);
+  std::size_t flips = 0;
+  for (std::size_t n = 0; n <= 96; ++n) {
+    std::vector<std::uint8_t> data(n);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.next_u64());
+    const auto clean = xxh64(data.data(), n);
+    for (std::size_t bit = 0; bit < 8 * n; ++bit, ++flips) {
+      const auto mask = static_cast<std::uint8_t>(1u << (bit % 8));
+      data[bit / 8] ^= mask;
+      EXPECT_NE(xxh64(data.data(), n), clean) << "n=" << n << " bit=" << bit;
+      data[bit / 8] ^= mask;
+    }
+  }
+  EXPECT_EQ(flips, 37248u);
+
+  // Word loads must not depend on alignment: hashing from start offsets
+  // 1..7 equals hashing an aligned copy of the same bytes.
+  constexpr std::size_t kLen = 3 * 32 + 8 + 4 + 3;
+  for (std::size_t offset = 1; offset < 8; ++offset) {
+    std::vector<std::uint8_t> buf(offset + kLen);
+    for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+    const std::vector<std::uint8_t> copy(buf.begin() + offset, buf.end());
+    EXPECT_EQ(xxh64(buf.data() + offset, kLen), xxh64(copy.data(), kLen))
+        << "offset=" << offset;
+  }
 }
 
 // -------------------------------------------------------------------- rng
