@@ -3,15 +3,14 @@
 // The whole point of the prediction model is picking the cheapest
 // (replica, configuration) pair. This bench builds a small virtual grid
 // (two repositories with different link qualities, two compute sites on
-// different hardware), ranks every candidate with the selector, then
-// simulates every candidate to find the true optimum and reports the
+// different hardware), ranks every candidate with the selection service,
+// then simulates every candidate to find the true optimum and reports the
 // regret of the predicted choice.
 #include <iostream>
 
 #include "common.h"
 #include "core/ipc_probe.h"
-#include "core/selector.h"
-#include "grid/catalog.h"
+#include "service/selection_service.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -24,7 +23,7 @@ int main() {
   std::cout << "Ablation A3: resource-selection quality (EM, 700 MB, two "
                "replicas x two compute sites)\n\n";
 
-  grid::GridCatalog catalog;
+  service::ShardedCatalog catalog(1);
   catalog.register_repository_site({"repo-east", pentium, 8});
   catalog.register_repository_site({"repo-west", pentium, 4});
   catalog.register_compute_site({"hpc-pentium", pentium, 16});
@@ -55,9 +54,12 @@ int main() {
   opts.model = core::PredictionModel::GlobalReduction;
   opts.classes = app.classes;
   opts.ipc = core::measure_ipc(pentium);
-  const core::ResourceSelector selector(&catalog, profile, opts, scalers);
-  const auto ranked =
-      selector.rank("em-data", app.dataset->total_virtual_bytes());
+  service::SelectionService selector(&catalog);
+  selector.register_app(profile, opts, scalers);
+  // The table below shows the eight cheapest candidates.
+  const service::SelectionQuery query{
+      profile.app, "em-data", app.dataset->total_virtual_bytes(), 8};
+  const auto ranked = selector.query(query).ranked;
 
   // Ground truth by exhaustive simulation.
   struct Truth {
@@ -66,11 +68,13 @@ int main() {
   };
   std::vector<Truth> truths;
   double best_actual = 1e300;
-  for (const auto& cand : catalog.enumerate_candidates("em-data")) {
-    const auto& site = catalog.compute_site(cand.compute_site);
-    const auto& repo = catalog.repository_site(cand.replica.repository);
+  const auto topo = catalog.topology();
+  for (const auto& cand : service::ShardedCatalog::enumerate_candidates(
+           *topo, *catalog.shard_for("em-data"), "em-data")) {
+    const auto* site = topo->find_compute(cand.compute_site);
+    const auto* repo = topo->find_repository(cand.replica.repository);
     const auto run = bench::simulate(
-        app, repo.cluster, site.cluster, cand.wan,
+        app, repo->cluster, site->cluster, cand.wan,
         {cand.replica.storage_nodes, cand.compute_nodes});
     const double t = run.timing.total.total();
     best_actual = std::min(best_actual, t);

@@ -11,7 +11,7 @@
 #include <iostream>
 
 #include "common.h"
-#include "core/scheduler.h"
+#include "service/scheduler.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -19,7 +19,7 @@ int main() {
   using namespace fgp;
   const auto pentium = sim::cluster_pentium_myrinet();
 
-  grid::GridCatalog catalog;
+  service::ShardedCatalog catalog(1);
   catalog.register_repository_site({"repo", pentium, 8});
   catalog.register_compute_site({"hpc-small", pentium, 8});
   catalog.register_compute_site({"hpc-large", pentium, 16});
@@ -45,27 +45,27 @@ int main() {
   }
 
   // A 10-job stream cycling through the apps, arriving every 20 seconds.
-  std::vector<core::JobRequest> jobs;
+  std::vector<service::JobRequest> jobs;
   for (int i = 0; i < 10; ++i) {
-    const auto& app = apps[static_cast<std::size_t>(i) % apps.size()];
-    core::JobRequest j;
-    j.id = app.name + "-" + std::to_string(i);
-    j.dataset = app.name + "-data";
-    j.dataset_bytes = app.dataset->total_virtual_bytes();
-    j.profile = profiles[static_cast<std::size_t>(i) % apps.size()];
-    j.classes = app.classes;
+    const auto k = static_cast<std::size_t>(i) % apps.size();
+    service::JobRequest j;
+    j.id = apps[k].name + "-" + std::to_string(i);
+    j.app = profiles[k].app;
+    j.dataset = apps[k].name + "-data";
+    j.dataset_bytes = apps[k].dataset->total_virtual_bytes();
     j.submit_time_s = 20.0 * i;
     jobs.push_back(std::move(j));
   }
 
   // Ground truth: run the job's kernel on the candidate's resources.
-  auto runner = [&](const core::JobRequest& job,
+  const auto topo = catalog.topology();
+  auto runner = [&](const service::JobRequest& job,
                     const grid::Candidate& cand) {
     for (const auto& app : apps) {
       if (app.name + "-data" != job.dataset) continue;
-      const auto& site = catalog.compute_site(cand.compute_site);
-      const auto& repo = catalog.repository_site(cand.replica.repository);
-      return bench::simulate(app, repo.cluster, site.cluster, cand.wan,
+      const auto* site = topo->find_compute(cand.compute_site);
+      const auto* repo = topo->find_repository(cand.replica.repository);
+      return bench::simulate(app, repo->cluster, site->cluster, cand.wan,
                              {cand.replica.storage_nodes, cand.compute_nodes})
           .timing.total.total();
     }
@@ -75,11 +75,17 @@ int main() {
   util::Table table({"policy", "makespan(s)", "mean turnaround(s)",
                      "mean |pred-actual|/actual"});
   for (const auto& [policy, name] :
-       std::vector<std::pair<core::SchedulingPolicy, std::string>>{
-           {core::SchedulingPolicy::PredictedBest, "predicted-best"},
-           {core::SchedulingPolicy::RoundRobin, "round-robin"},
-           {core::SchedulingPolicy::MaxNodes, "max-nodes"}}) {
-    core::GridScheduler scheduler(&catalog, policy);
+       std::vector<std::pair<service::SchedulingPolicy, std::string>>{
+           {service::SchedulingPolicy::PredictedBest, "predicted-best"},
+           {service::SchedulingPolicy::RoundRobin, "round-robin"},
+           {service::SchedulingPolicy::MaxNodes, "max-nodes"}}) {
+    service::GridScheduler scheduler(&catalog, policy);
+    for (std::size_t k = 0; k < apps.size(); ++k) {
+      core::PredictorOptions opts;
+      opts.model = core::PredictionModel::GlobalReduction;
+      opts.classes = apps[k].classes;
+      scheduler.register_app(profiles[k], opts);
+    }
     const auto placements = scheduler.schedule(jobs, runner);
     util::Accumulator errs;
     for (const auto& p : placements)

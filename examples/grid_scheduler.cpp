@@ -9,10 +9,11 @@
 
 #include "apps/kmeans.h"
 #include "apps/vortex.h"
-#include "core/scheduler.h"
+#include "core/profile.h"
 #include "datagen/flowfield.h"
 #include "datagen/points.h"
 #include "freeride/runtime.h"
+#include "service/scheduler.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -59,7 +60,7 @@ int main() {
   apps::VortexParams vx;
 
   // The grid: one repository, two compute sites.
-  grid::GridCatalog catalog;
+  service::ShardedCatalog catalog(1);
   catalog.register_repository_site({"repo", pentium, 4});
   catalog.register_compute_site({"site-a", pentium, 8});
   catalog.register_compute_site({"site-b", pentium, 16});
@@ -76,31 +77,39 @@ int main() {
   const auto vx_profile =
       collect_profile(flow.dataset, vx_profile_kernel, pentium);
 
+  // The scheduler predicts each job from its app's profile and classes.
+  service::GridScheduler scheduler(&catalog,
+                                   service::SchedulingPolicy::PredictedBest);
+  core::PredictorOptions km_opts;
+  km_opts.classes = {core::RoSizeClass::Constant,
+                     core::GlobalReductionClass::LinearConstant};
+  scheduler.register_app(km_profile, km_opts);
+  core::PredictorOptions vx_opts;
+  vx_opts.classes = {core::RoSizeClass::LinearWithData,
+                     core::GlobalReductionClass::ConstantLinear};
+  scheduler.register_app(vx_profile, vx_opts);
+
   // A six-job stream alternating between the two applications.
-  std::vector<core::JobRequest> jobs;
+  std::vector<service::JobRequest> jobs;
   for (int i = 0; i < 6; ++i) {
-    core::JobRequest j;
+    service::JobRequest j;
     const bool is_kmeans = i % 2 == 0;
     j.id = (is_kmeans ? "kmeans-" : "vortex-") + std::to_string(i);
+    j.app = is_kmeans ? km_profile.app : vx_profile.app;
     j.dataset = is_kmeans ? "points" : "flow";
     j.dataset_bytes = is_kmeans ? points.dataset.total_virtual_bytes()
                                 : flow.dataset.total_virtual_bytes();
-    j.profile = is_kmeans ? km_profile : vx_profile;
-    j.classes = is_kmeans
-                    ? core::AppClasses{core::RoSizeClass::Constant,
-                                       core::GlobalReductionClass::LinearConstant}
-                    : core::AppClasses{core::RoSizeClass::LinearWithData,
-                                       core::GlobalReductionClass::ConstantLinear};
     j.submit_time_s = 15.0 * i;
     jobs.push_back(std::move(j));
   }
 
   // Ground truth: actually run the job on the chosen resources.
-  auto runner = [&](const core::JobRequest& job, const grid::Candidate& c) {
+  const auto topo = catalog.topology();
+  auto runner = [&](const service::JobRequest& job, const grid::Candidate& c) {
     freeride::JobSetup setup;
     setup.dataset = job.dataset == "points" ? &points.dataset : &flow.dataset;
-    setup.data_cluster = catalog.repository_site(c.replica.repository).cluster;
-    setup.compute_cluster = catalog.compute_site(c.compute_site).cluster;
+    setup.data_cluster = topo->find_repository(c.replica.repository)->cluster;
+    setup.compute_cluster = topo->find_compute(c.compute_site)->cluster;
     setup.wan = c.wan;
     setup.config.data_nodes = c.replica.storage_nodes;
     setup.config.compute_nodes = c.compute_nodes;
@@ -112,8 +121,6 @@ int main() {
     return freeride::Runtime().run(setup, kernel).timing.total.total();
   };
 
-  core::GridScheduler scheduler(&catalog,
-                                core::SchedulingPolicy::PredictedBest);
   const auto placements = scheduler.schedule(jobs, runner);
 
   util::Table table({"job", "site", "nodes", "wait(s)", "T_pred(s)",

@@ -3,13 +3,13 @@
 // and a resource-selection framework that must pick the (replica,
 // configuration) pair with the minimum predicted cost.
 #include <iostream>
+#include <limits>
 
 #include "apps/vortex.h"
-#include "core/ipc_probe.h"
-#include "core/selector.h"
+#include "core/profile.h"
 #include "datagen/flowfield.h"
 #include "freeride/runtime.h"
-#include "grid/catalog.h"
+#include "service/selection_service.h"
 #include "util/table.h"
 
 int main() {
@@ -27,7 +27,7 @@ int main() {
 
   // The grid: two repositories holding replicas, one compute site.
   const auto pentium = sim::cluster_pentium_myrinet();
-  grid::GridCatalog catalog;
+  service::ShardedCatalog catalog(1);
   catalog.register_repository_site({"storage-a", pentium, 8});
   catalog.register_repository_site({"storage-b", pentium, 4});
   catalog.register_compute_site({"hpc", pentium, 16});
@@ -54,9 +54,12 @@ int main() {
   opts.model = core::PredictionModel::GlobalReduction;
   opts.classes = {core::RoSizeClass::LinearWithData,
                   core::GlobalReductionClass::ConstantLinear};
-  const core::ResourceSelector selector(&catalog, profile, opts);
-  const auto ranked =
-      selector.rank(spec.name, flow.dataset.total_virtual_bytes());
+  service::SelectionService selector(&catalog);
+  selector.register_app(profile, opts);
+  const service::SelectionQuery query{profile.app, spec.name,
+                                      flow.dataset.total_virtual_bytes(),
+                                      std::numeric_limits<int>::max()};
+  const auto ranked = selector.query(query).ranked;
 
   util::Table table({"rank", "replica", "storage", "compute", "T_pred(s)"});
   for (std::size_t i = 0; i < ranked.size(); ++i) {
@@ -70,12 +73,13 @@ int main() {
 
   // Execute the winner and report what actually happened.
   const auto& best = ranked.front();
+  const auto topo = catalog.topology();
   freeride::JobSetup winner;
   winner.dataset = &flow.dataset;
   winner.data_cluster =
-      catalog.repository_site(best.candidate.replica.repository).cluster;
+      topo->find_repository(best.candidate.replica.repository)->cluster;
   winner.compute_cluster =
-      catalog.compute_site(best.candidate.compute_site).cluster;
+      topo->find_compute(best.candidate.compute_site)->cluster;
   winner.wan = best.candidate.wan;
   winner.config.data_nodes = best.candidate.replica.storage_nodes;
   winner.config.compute_nodes = best.candidate.compute_nodes;

@@ -1,16 +1,14 @@
-// catalog.h — a minimal grid information service.
+// catalog.h — the records of the grid information service.
 //
 // The paper assumes "a standard grid service can identify such potential
 // resources": r replica sites holding the dataset and c candidate compute
-// configurations. This catalog is that service for the virtual grid: it
-// registers compute sites, repository sites, dataset replicas, and the WAN
-// links between site pairs, and enumerates the (replica, configuration)
-// pairs the resource-selection framework must cost out.
+// configurations. These are the records that service deals in: compute
+// sites, repository sites, dataset replicas, and the (replica,
+// configuration) candidates the resource-selection framework must cost
+// out. service::ShardedCatalog registers and enumerates them.
 #pragma once
 
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "sim/cluster.h"
 #include "sim/network.h"
@@ -47,40 +45,6 @@ struct Candidate {
   SiteId compute_site;
   int compute_nodes = 0;
   sim::WanSpec wan;  ///< link between the replica's repository and the site
-};
-
-class GridCatalog {
- public:
-  void register_compute_site(ComputeSite site);
-  void register_repository_site(RepositorySite site);
-  void register_replica(Replica replica);
-  /// Declares the WAN between a repository site and a compute site.
-  void register_link(const SiteId& repository, const SiteId& compute,
-                     sim::WanSpec wan);
-
-  const ComputeSite& compute_site(const SiteId& id) const;
-  const RepositorySite& repository_site(const SiteId& id) const;
-  std::vector<Replica> replicas_of(const std::string& dataset) const;
-  sim::WanSpec link(const SiteId& repository, const SiteId& compute) const;
-
-  /// Enumerates every (replica, compute site, node count) combination that
-  /// satisfies the FREERIDE-G constraint compute_nodes >= storage_nodes.
-  /// Node counts sweep powers of two up to the site's availability.
-  std::vector<Candidate> enumerate_candidates(const std::string& dataset) const;
-
-  std::size_t compute_site_count() const { return compute_sites_.size(); }
-  std::size_t repository_site_count() const { return repository_sites_.size(); }
-
- private:
-  std::vector<ComputeSite> compute_sites_;
-  std::vector<RepositorySite> repository_sites_;
-  std::vector<Replica> replicas_;
-  struct Link {
-    SiteId repository;
-    SiteId compute;
-    sim::WanSpec wan;
-  };
-  std::vector<Link> links_;
 };
 
 }  // namespace fgp::grid

@@ -52,8 +52,7 @@ std::shared_ptr<const CompiledApp> ProfileCache::resolve(
   for (const auto& site : topo->compute_sites) {
     if (site.cluster.name == entry.profile.config.compute_cluster) {
       // Same hardware as the profile: probe the interconnect once here
-      // instead of once per candidate (the ResourceSelector hot-path
-      // cost this cache exists to remove).
+      // instead of once per candidate.
       core::PredictorOptions opts = entry.options;
       opts.ipc = core::measure_ipc(site.cluster);
       compiled->site_predictors.emplace_back(

@@ -1,19 +1,19 @@
 // profile_cache.h — compiled per-(app, topology) predictor state.
 //
-// core::ResourceSelector re-derives everything on every call: it probes
-// the target cluster's interconnect (measure_ipc) for *every candidate*
-// and rebuilds a Predictor/HeteroPredictor per candidate. Fine for one
-// figure run; fatal for a service answering thousands of queries per
-// second over the same handful of cluster kinds. The cache compiles, once
-// per (app, topology version), one predictor per compute site — the IPC
-// probe runs once per site, the hetero scalers are resolved once — and
-// hands queries an immutable CompiledApp snapshot under shared_ptr.
+// The one rule that turns a (profile, compute site) pair into a
+// predictor; SelectionService and GridScheduler both predict through it.
+// Probing the target cluster's interconnect (measure_ipc) and rebuilding
+// a Predictor/HeteroPredictor per candidate is fine for one figure run
+// and fatal for a service answering thousands of queries per second over
+// the same handful of cluster kinds. The cache compiles, once per (app,
+// topology version), one predictor per compute site — the IPC probe runs
+// once per site, the hetero scalers are resolved once — and hands
+// callers an immutable CompiledApp snapshot under shared_ptr.
 //
-// Cache fills happen on the query path but only from
-// SelectionService::query_batch's *serial* prepare phase, so the
-// hit/miss counters are deterministic-domain metrics: a batch stream
-// replayed at any pool size produces byte-identical counts (DESIGN.md
-// §16).
+// SelectionService fills the cache only from query_batch's *serial*
+// prepare phase, so the hit/miss counters are deterministic-domain
+// metrics: a batch stream replayed at any pool size produces
+// byte-identical counts (DESIGN.md §16).
 #pragma once
 
 #include <map>
@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "core/selector.h"
+#include "core/hetero.h"
 #include "service/sharded_catalog.h"
 
 namespace fgp::service {
@@ -31,8 +31,8 @@ namespace fgp::service {
 /// One compute site's ready-to-run predictor: either a same-cluster
 /// Predictor with the site's IPC parameters baked in, or the profile
 /// cluster's predictor wrapped in hetero scaling factors. Sites with no
-/// scaling factors and different hardware are unpredictable (the
-/// ResourceSelector skip rule).
+/// scaling factors and different hardware are unpredictable, and callers
+/// skip them.
 class SitePredictor {
  public:
   SitePredictor() = default;  ///< unpredictable
@@ -67,9 +67,8 @@ class ProfileCache {
   /// Declares an app the service can predict for. Re-registering an app
   /// replaces its profile and invalidates its compiled state.
   /// `options.ipc` carries the profile cluster's interconnect parameters
-  /// and seeds the hetero base predictor — the same contract
-  /// core::ResourceSelector has. Same-cluster sites get their IPC probed
-  /// at compile time regardless.
+  /// and seeds the hetero base predictor, as Figs 11–13 do. Same-cluster
+  /// sites get their IPC probed at compile time regardless.
   void register_app(core::Profile profile, core::PredictorOptions options,
                     std::map<std::string, core::ScalingFactors> scalers = {});
 

@@ -1,19 +1,22 @@
-#include "core/scheduler.h"
+#include "service/scheduler.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
+#include <utility>
 
-#include "core/ipc_probe.h"
 #include "util/check.h"
 
-namespace fgp::core {
+namespace fgp::service {
 
-GridScheduler::GridScheduler(const grid::GridCatalog* catalog,
-                             SchedulingPolicy policy,
-                             std::map<std::string, ScalingFactors> scalers)
-    : catalog_(catalog), policy_(policy), scalers_(std::move(scalers)) {
+GridScheduler::GridScheduler(const ShardedCatalog* catalog,
+                             SchedulingPolicy policy)
+    : catalog_(catalog), policy_(policy) {
   FGP_CHECK_MSG(catalog_ != nullptr, "scheduler needs a grid catalog");
+}
+
+void GridScheduler::register_app(
+    core::Profile profile, core::PredictorOptions options,
+    std::map<std::string, core::ScalingFactors> scalers) {
+  cache_.register_app(std::move(profile), options, std::move(scalers));
 }
 
 bool GridScheduler::fits(const std::string& site, int capacity, int nodes,
@@ -52,33 +55,6 @@ double GridScheduler::earliest_start(const std::string& site, int capacity,
   return 0.0;
 }
 
-double GridScheduler::predict_exec(const JobRequest& job,
-                                   const grid::Candidate& candidate) const {
-  const auto& site = catalog_->compute_site(candidate.compute_site);
-
-  ProfileConfig target;
-  target.data_nodes = candidate.replica.storage_nodes;
-  target.compute_nodes = candidate.compute_nodes;
-  target.dataset_bytes = job.dataset_bytes;
-  target.bandwidth_Bps = candidate.wan.per_link_Bps;
-
-  PredictorOptions opts;
-  opts.model = PredictionModel::GlobalReduction;
-  opts.classes = job.classes;
-
-  if (site.cluster.name == job.profile.config.compute_cluster) {
-    opts.ipc = measure_ipc(site.cluster);
-    return Predictor(job.profile, opts).predict(target).total();
-  }
-  const auto it = scalers_.find(site.cluster.name);
-  if (it == scalers_.end())
-    return std::numeric_limits<double>::infinity();  // unpredictable
-  opts.ipc = measure_ipc(site.cluster);
-  return HeteroPredictor(Predictor(job.profile, opts), it->second)
-      .predict(target)
-      .total();
-}
-
 std::vector<Placement> GridScheduler::schedule(
     const std::vector<JobRequest>& jobs, const ActualRunner& runner) {
   reservations_.clear();
@@ -90,7 +66,14 @@ std::vector<Placement> GridScheduler::schedule(
   double turnaround_sum = 0.0;
 
   for (const auto& job : jobs) {
-    const auto candidates = catalog_->enumerate_candidates(job.dataset);
+    const auto compiled = cache_.resolve(job.app, catalog_->topology());
+    FGP_CHECK_MSG(compiled != nullptr,
+                  "no profile registered for app '" << job.app << "'");
+    // Catalog order, not a ranking: RoundRobin's rotation and MaxNodes'
+    // ties depend on it.
+    const Topology& topo = *compiled->topology;
+    const auto candidates = ShardedCatalog::enumerate_candidates(
+        topo, *catalog_->shard_for(job.dataset), job.dataset);
     FGP_CHECK_MSG(!candidates.empty(),
                   "no candidate for dataset '" << job.dataset << "'");
 
@@ -102,11 +85,20 @@ std::vector<Placement> GridScheduler::schedule(
     };
     std::vector<Scored> scored;
     for (const auto& candidate : candidates) {
-      const double predicted = predict_exec(job, candidate);
-      if (!std::isfinite(predicted)) continue;
-      const auto& site = catalog_->compute_site(candidate.compute_site);
+      // site_predictors is index-aligned with topo.compute_sites.
+      const auto* site = topo.find_compute(candidate.compute_site);
+      const SitePredictor& predictor =
+          compiled->site_predictors[static_cast<std::size_t>(
+              site - topo.compute_sites.data())];
+      if (!predictor.predictable()) continue;
+      core::ProfileConfig target;
+      target.data_nodes = candidate.replica.storage_nodes;
+      target.compute_nodes = candidate.compute_nodes;
+      target.dataset_bytes = job.dataset_bytes;
+      target.bandwidth_Bps = candidate.wan.per_link_Bps;
+      const double predicted = predictor.predict(target).total();
       const double start =
-          earliest_start(candidate.compute_site, site.available_nodes,
+          earliest_start(candidate.compute_site, site->available_nodes,
                          candidate.compute_nodes, job.submit_time_s,
                          predicted);
       scored.push_back({candidate, predicted, start, start + predicted});
@@ -165,4 +157,4 @@ std::vector<Placement> GridScheduler::schedule(
   return placements;
 }
 
-}  // namespace fgp::core
+}  // namespace fgp::service

@@ -9,7 +9,9 @@
 // reservations, and the scheduler commits the placement minimizing the
 // *predicted completion time* (wait + execution). Alternative policies
 // (round-robin, grab-the-most-nodes) exist to quantify what the model
-// buys.
+// buys. Predictions come from the same compiled SitePredictors the
+// SelectionService ranks with (ProfileCache), so a candidate costs the
+// same in both.
 #pragma once
 
 #include <functional>
@@ -17,19 +19,18 @@
 #include <string>
 #include <vector>
 
-#include "core/hetero.h"
-#include "core/selector.h"
 #include "grid/catalog.h"
+#include "service/profile_cache.h"
+#include "service/sharded_catalog.h"
 
-namespace fgp::core {
+namespace fgp::service {
 
 /// A job submitted to the grid.
 struct JobRequest {
   std::string id;
+  std::string app;            ///< an app registered with the scheduler
   std::string dataset;        ///< replica lookup key in the catalog
   double dataset_bytes = 0.0;
-  Profile profile;            ///< previously collected profile
-  AppClasses classes;
   double submit_time_s = 0.0;  ///< non-decreasing across the stream
 };
 
@@ -53,10 +54,14 @@ enum class SchedulingPolicy {
 
 class GridScheduler {
  public:
-  /// `scalers` as in ResourceSelector: needed to predict candidates on
-  /// clusters other than the profile's.
-  GridScheduler(const grid::GridCatalog* catalog, SchedulingPolicy policy,
-                std::map<std::string, ScalingFactors> scalers = {});
+  /// `catalog` must outlive the scheduler.
+  GridScheduler(const ShardedCatalog* catalog, SchedulingPolicy policy);
+
+  /// Registers an app jobs can name (see ProfileCache::register_app):
+  /// `scalers` are needed to predict candidates on clusters other than
+  /// the profile's.
+  void register_app(core::Profile profile, core::PredictorOptions options,
+                    std::map<std::string, core::ScalingFactors> scalers = {});
 
   /// Ground-truth execution time of a candidate (a virtual-cluster run).
   using ActualRunner =
@@ -85,16 +90,14 @@ class GridScheduler {
                         double ready, double duration) const;
   bool fits(const std::string& site, int capacity, int nodes, double start,
             double duration) const;
-  double predict_exec(const JobRequest& job,
-                      const grid::Candidate& candidate) const;
 
-  const grid::GridCatalog* catalog_;
+  const ShardedCatalog* catalog_;
   SchedulingPolicy policy_;
-  std::map<std::string, ScalingFactors> scalers_;
+  ProfileCache cache_;
   std::map<std::string, std::vector<Reservation>> reservations_;
   std::size_t round_robin_cursor_ = 0;
   double makespan_ = 0.0;
   double mean_turnaround_ = 0.0;
 };
 
-}  // namespace fgp::core
+}  // namespace fgp::service

@@ -20,8 +20,7 @@ namespace {
 /// then the candidate's identity. std::sort is not stable, so without the
 /// identity tie-break two equal-cost candidates could legally come back
 /// in either order — the bit-identity contract needs exactly one.
-bool ranked_less(const core::RankedCandidate& a,
-                 const core::RankedCandidate& b) {
+bool ranked_less(const RankedCandidate& a, const RankedCandidate& b) {
   const double ta = a.predicted.total();
   const double tb = b.predicted.total();
   if (ta != tb) return ta < tb;
@@ -63,7 +62,7 @@ SelectionResult evaluate(const PreparedQuery& p) {
     return out;
   }
 
-  std::vector<core::RankedCandidate> ranked;
+  std::vector<RankedCandidate> ranked;
   for (const auto& replica : replicas) {
     const auto* repo = topo.find_repository(replica.repository);
     // Snapshot skew: the batch captures the topology before its shards, so
@@ -92,7 +91,7 @@ SelectionResult evaluate(const PreparedQuery& p) {
         ++out.candidates_considered;
         const int nodes = static_cast<int>(c);
         target.compute_nodes = nodes;
-        core::RankedCandidate rc;
+        RankedCandidate rc;
         rc.candidate = {replica, site.id, nodes, *wan};
         rc.predicted = predictor.predict(target);
         rc.used_hetero_scaling = predictor.uses_hetero_scaling();
@@ -116,7 +115,7 @@ SelectionResult evaluate(const PreparedQuery& p) {
 
 }  // namespace
 
-const core::RankedCandidate& SelectionResult::best() const {
+const RankedCandidate& SelectionResult::best() const {
   FGP_CHECK_MSG(ok() && !ranked.empty(),
                 "no selection result: " << (error.empty() ? "empty ranking"
                                                           : error));
@@ -250,7 +249,7 @@ std::vector<SelectionResult> SelectionService::query_batch(
       entry.latency_s = latency;
       entry.candidates_considered = results[i].candidates_considered;
       if (results[i].ok() && !results[i].ranked.empty()) {
-        const core::RankedCandidate& best = results[i].ranked.front();
+        const RankedCandidate& best = results[i].ranked.front();
         entry.chosen = best.candidate.replica.repository + "/" +
                        best.candidate.compute_site + "/" +
                        std::to_string(best.candidate.compute_nodes);

@@ -2,11 +2,12 @@
 // engine.
 //
 // The paper's driver — "choose a replica and computing configuration pair
-// where the data processing can be performed with the minimum cost" — is
-// promoted here from a per-bench object to a long-lived query engine. A
-// SelectionService owns a ProfileCache over a ShardedCatalog and answers
-// vectors of SelectionQuery concurrently over a borrowed work-stealing
-// util::ThreadPool.
+// where the data processing can be performed with the minimum cost" — as
+// a long-lived query engine, and the repository's one ranking: the
+// benches, the CLI and the examples query it too (serially, over a
+// one-shard catalog). A SelectionService owns a ProfileCache over a
+// ShardedCatalog and answers vectors of SelectionQuery concurrently over
+// a borrowed work-stealing util::ThreadPool.
 //
 // Batch discipline (DESIGN.md §16):
 //
@@ -46,6 +47,14 @@ class TraceRecorder;
 
 namespace fgp::service {
 
+/// One costed candidate: the (replica, configuration) pair and its
+/// predicted execution time.
+struct RankedCandidate {
+  grid::Candidate candidate;
+  core::PredictedTime predicted;
+  bool used_hetero_scaling = false;
+};
+
 struct SelectionQuery {
   std::string app;
   std::string dataset;
@@ -56,7 +65,7 @@ struct SelectionQuery {
 
 struct SelectionResult {
   /// Up to top_k candidates, cheapest predicted total first.
-  std::vector<core::RankedCandidate> ranked;
+  std::vector<RankedCandidate> ranked;
   /// Candidates enumerated for the query. Compute sites whose predictor
   /// cannot predict are skipped whole, so their candidates are not
   /// counted; unreachable pairs (no WAN link) are likewise excluded.
@@ -66,7 +75,7 @@ struct SelectionResult {
   std::string error;
 
   bool ok() const { return error.empty(); }
-  const core::RankedCandidate& best() const;
+  const RankedCandidate& best() const;
 };
 
 /// Optional service-side observers, all borrowed and all

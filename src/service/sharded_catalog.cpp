@@ -147,7 +147,7 @@ void ShardedCatalog::register_replicas(std::vector<grid::Replica> replicas) {
   const std::lock_guard<std::mutex> lock(write_mu_);
   const auto topo = topology_.load();
   // Validate against the current topology first so a bad entry publishes
-  // nothing (all-or-nothing, matching GridCatalog's per-entry checks).
+  // nothing (all-or-nothing).
   for (const auto& r : replicas) {
     const auto* repo = topo->find_repository(r.repository);
     FGP_CHECK_MSG(repo != nullptr,
@@ -169,8 +169,8 @@ void ShardedCatalog::register_replicas(std::vector<grid::Replica> replicas) {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     auto& batch = per_shard[s];
     if (batch.empty()) continue;
-    // Registration order within a dataset must survive (GridCatalog
-    // enumeration parity): the batch sorts stably, and the merge puts
+    // Registration order within a dataset must survive (the enumeration
+    // order contract): the batch sorts stably, and the merge puts
     // existing entries before incoming ones on ties. The shard is already
     // sorted, so a publish costs one linear merge, not a full re-sort.
     std::stable_sort(batch.begin(), batch.end(), by_dataset);

@@ -1,12 +1,12 @@
-// sharded_catalog.h — a read-mostly replica catalog scaled to millions of
-// entries.
+// sharded_catalog.h — the grid information service: a read-mostly
+// replica catalog scaled to millions of entries.
 //
-// grid::GridCatalog is the per-bench information service: a flat vector it
-// scans linearly, mutated and read by one caller. The service layer needs
-// the grid-middleware shape instead (DESIGN.md §16): a long-lived catalog
-// answering a heavy concurrent stream of "which replicas hold this
-// dataset?" lookups while replicas keep arriving. ShardedCatalog gets
-// there with two ingredients:
+// It is the repository's one catalog. The benches, the CLI and the
+// examples register a handful of sites into a one-shard instance; the
+// service layer needs the grid-middleware shape (DESIGN.md §16): a
+// long-lived catalog answering a heavy concurrent stream of "which
+// replicas hold this dataset?" lookups while replicas keep arriving.
+// ShardedCatalog gets there with two ingredients:
 //
 //   * Replica entries are hash-partitioned over N shards by dataset name,
 //     each shard an *immutable* snapshot (replicas sorted by dataset, so a
@@ -24,8 +24,8 @@
 //     compiled state went stale.
 //
 // Registration order is preserved within a dataset and within the site
-// lists, so candidate enumeration visits candidates in exactly the order
-// grid::GridCatalog would (pinned by tests/test_service.cpp parity tests).
+// lists, so candidate enumeration follows registration order (the
+// contract on enumerate_candidates, pinned by tests/test_service.cpp).
 #pragma once
 
 #include <atomic>
@@ -113,9 +113,13 @@ class ShardedCatalog {
   /// sizes; exact between publishes).
   std::size_t replica_count() const;
 
-  /// Same contract as grid::GridCatalog::enumerate_candidates, evaluated
-  /// against explicit snapshots so a batch that captured them stays
-  /// consistent even while writers publish.
+  /// Every (replica, compute site, node count) candidate for `dataset`:
+  /// replicas in registration order, then compute sites in registration
+  /// order, pairs without a WAN link skipped, and node counts sweeping
+  /// powers of two up to the site's availability, keeping the FREERIDE-G
+  /// constraint compute_nodes >= storage_nodes. Evaluated against
+  /// explicit snapshots so a caller that captured them stays consistent
+  /// even while writers publish.
   static std::vector<grid::Candidate> enumerate_candidates(
       const Topology& topo, const ReplicaShard& shard,
       const std::string& dataset);

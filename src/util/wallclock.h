@@ -3,10 +3,10 @@
 // Determinism invariant: everything outside util/ charges *virtual* time
 // through the runtime's phase accounting (sim::MachineSpec and friends);
 // real wall-clock readings are only legitimate where the point is to
-// measure the host machine itself (least-squares calibration, benchmark
-// harnesses). Those callers go through this stopwatch so that fgpcheck's
-// wall-clock rule can forbid every direct clock use in src/ outside
-// src/util/.
+// measure the host machine itself (service latency, trace host spans,
+// benchmark harnesses). Those callers go through this stopwatch so that
+// fgpcheck's wall-clock rule can forbid every direct clock use in src/
+// outside src/util/.
 #pragma once
 
 #include <chrono>

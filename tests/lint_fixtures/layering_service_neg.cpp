@@ -2,7 +2,7 @@
 // under "src/service/fixture.cpp" (rank 6, the top layer) — core (5),
 // grid (3), obs (1) and util (0) are all lower layers, so fgpcheck must
 // report nothing.
-#include "core/selector.h"
+#include "core/predictor.h"
 #include "grid/catalog.h"
 #include "obs/metrics.h"
 #include "util/check.h"

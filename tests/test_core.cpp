@@ -1,7 +1,7 @@
 // Tests for the prediction framework: profile collection, the class
 // taxonomy and its auto-detection, the IPC probe, the three predictor
 // models (including exactness under a frictionless cluster — the key
-// analytical property), heterogeneous scaling, and resource selection.
+// analytical property), and heterogeneous scaling.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,7 +11,6 @@
 #include "core/ipc_probe.h"
 #include "core/predictor.h"
 #include "core/profile.h"
-#include "core/selector.h"
 #include "helpers.h"
 #include "util/stats.h"
 
@@ -509,94 +508,6 @@ TEST(Hetero, EndToEndPredictionAcrossClusters) {
   const auto predicted = hp.predict(target);
   // Averaged factors carry error, but must land in the right ballpark.
   EXPECT_LT(util::relative_error(actual.total(), predicted.total()), 0.25);
-}
-
-// --------------------------------------------------------------- selector
-
-TEST(Selector, PicksTheTrulyCheapestCandidate) {
-  const auto ds = make_sum_dataset(32, 64, 200.0);
-
-  grid::GridCatalog catalog;
-  catalog.register_repository_site(
-      {"repo-near", sim::cluster_pentium_myrinet(), 4});
-  catalog.register_repository_site(
-      {"repo-far", sim::cluster_pentium_myrinet(), 8});
-  catalog.register_compute_site({"hpc", sim::cluster_pentium_myrinet(), 16});
-  catalog.register_link("repo-near", "hpc", sim::wan_mbps(200));
-  catalog.register_link("repo-far", "hpc", sim::wan_mbps(10));
-  catalog.register_replica({"data", "repo-near", 2});
-  catalog.register_replica({"data", "repo-far", 8});
-
-  // Profile on the same compute cluster.
-  auto profile_setup = pentium_setup(&ds, 1, 1);
-  SumKernel profile_kernel;
-  const Profile p = ProfileCollector::collect(profile_setup, profile_kernel);
-
-  PredictorOptions opts;
-  opts.model = PredictionModel::GlobalReduction;
-  opts.classes = {RoSizeClass::Constant,
-                  GlobalReductionClass::LinearConstant};
-  const ResourceSelector selector(&catalog, p, opts);
-
-  const auto ranked = selector.rank("data", ds.total_virtual_bytes());
-  ASSERT_FALSE(ranked.empty());
-  for (std::size_t i = 1; i < ranked.size(); ++i)
-    EXPECT_LE(ranked[i - 1].predicted.total(), ranked[i].predicted.total());
-
-  // Ground truth: simulate every candidate and find the true optimum.
-  double best_actual = 1e300;
-  grid::Candidate best_candidate;
-  for (const auto& cand : catalog.enumerate_candidates("data")) {
-    freeride::JobSetup setup;
-    setup.dataset = &ds;
-    setup.data_cluster =
-        catalog.repository_site(cand.replica.repository).cluster;
-    setup.compute_cluster = catalog.compute_site(cand.compute_site).cluster;
-    setup.wan = cand.wan;
-    setup.config.data_nodes = cand.replica.storage_nodes;
-    setup.config.compute_nodes = cand.compute_nodes;
-    SumKernel k;
-    const double t = freeride::Runtime().run(setup, k).timing.total.total();
-    if (t < best_actual) {
-      best_actual = t;
-      best_candidate = cand;
-    }
-  }
-  const auto chosen = selector.best("data", ds.total_virtual_bytes());
-  EXPECT_EQ(chosen.candidate.replica.repository,
-            best_candidate.replica.repository);
-  EXPECT_EQ(chosen.candidate.compute_nodes, best_candidate.compute_nodes);
-  // The predicted cost of the winner is close to its simulated cost.
-  EXPECT_LT(util::relative_error(best_actual, chosen.predicted.total()), 0.15);
-}
-
-TEST(Selector, SkipsClustersWithoutScalingFactors) {
-  const auto ds = make_sum_dataset(8, 32);
-  grid::GridCatalog catalog;
-  catalog.register_repository_site(
-      {"repo", sim::cluster_pentium_myrinet(), 2});
-  catalog.register_compute_site(
-      {"other", sim::cluster_opteron_infiniband(), 8});
-  catalog.register_link("repo", "other", sim::wan_mbps(50));
-  catalog.register_replica({"data", "repo", 2});
-
-  auto profile_setup = pentium_setup(&ds, 1, 1);
-  SumKernel kernel;
-  const Profile p = ProfileCollector::collect(profile_setup, kernel);
-  PredictorOptions opts;
-  opts.ipc = measure_ipc(profile_setup.compute_cluster);
-
-  const ResourceSelector no_scalers(&catalog, p, opts);
-  EXPECT_TRUE(no_scalers.rank("data", ds.total_virtual_bytes()).empty());
-  EXPECT_THROW(no_scalers.best("data", ds.total_virtual_bytes()),
-               util::Error);
-
-  std::map<std::string, ScalingFactors> scalers;
-  scalers["opteron-infiniband"] = {0.5, 0.6, 0.3};
-  const ResourceSelector with_scalers(&catalog, p, opts, scalers);
-  const auto ranked = with_scalers.rank("data", ds.total_virtual_bytes());
-  EXPECT_FALSE(ranked.empty());
-  for (const auto& rc : ranked) EXPECT_TRUE(rc.used_hetero_scaling);
 }
 
 }  // namespace

@@ -1,29 +1,41 @@
 // Tests for the prediction-driven grid scheduler: queueing correctness
 // (capacity never exceeded, no starts before submit), policy behaviour,
-// and the value of the model vs model-blind policies.
+// the value of the model vs model-blind policies, and agreement with the
+// selection service's predictions.
 #include <gtest/gtest.h>
 
-#include "core/scheduler.h"
-#include "helpers.h"
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
 
-namespace fgp::core {
+#include "core/ipc_probe.h"
+#include "helpers.h"
+#include "service/scheduler.h"
+#include "service/selection_service.h"
+
+namespace fgp::service {
 namespace {
 
-grid::GridCatalog one_site_catalog(int compute_nodes = 8) {
-  grid::GridCatalog cat;
-  cat.register_repository_site(
+using core::Profile;
+
+std::unique_ptr<ShardedCatalog> one_site_catalog(int compute_nodes = 8) {
+  auto cat = std::make_unique<ShardedCatalog>(1);
+  cat->register_repository_site(
       {"repo", sim::cluster_pentium_myrinet(), 2});
-  cat.register_compute_site(
+  cat->register_compute_site(
       {"hpc", sim::cluster_pentium_myrinet(), compute_nodes});
-  cat.register_link("repo", "hpc", sim::wan_mbps(100));
-  cat.register_replica({"data", "repo", 2});
+  cat->register_link("repo", "hpc", sim::wan_mbps(100));
+  cat->register_replica({"data", "repo", 2});
   return cat;
 }
 
 /// A synthetic profile: compute-dominated so predictions scale ~1/ĉ.
-Profile synthetic_profile(double compute_s = 100.0) {
+Profile synthetic_profile(const std::string& app = "synthetic",
+                          double compute_s = 100.0) {
   Profile p;
-  p.app = "synthetic";
+  p.app = app;
   p.config.data_nodes = 2;
   p.config.compute_nodes = 2;
   p.config.dataset_bytes = 1e9;
@@ -38,40 +50,63 @@ Profile synthetic_profile(double compute_s = 100.0) {
   return p;
 }
 
-JobRequest job(const std::string& id, double submit, double compute_s = 100.0) {
+core::PredictorOptions synthetic_options() {
+  core::PredictorOptions opts;
+  opts.classes = {core::RoSizeClass::Constant,
+                  core::GlobalReductionClass::LinearConstant};
+  return opts;
+}
+
+/// A scheduler over `cat` that knows every profile in `apps`.
+std::unique_ptr<GridScheduler> scheduler(
+    const ShardedCatalog& cat, SchedulingPolicy policy,
+    const std::vector<Profile>& apps = {synthetic_profile()}) {
+  auto sched = std::make_unique<GridScheduler>(&cat, policy);
+  for (const auto& p : apps) sched->register_app(p, synthetic_options());
+  return sched;
+}
+
+JobRequest job(const std::string& id, double submit,
+               const std::string& app = "synthetic") {
   JobRequest j;
   j.id = id;
+  j.app = app;
   j.dataset = "data";
   j.dataset_bytes = 1e9;
-  j.profile = synthetic_profile(compute_s);
-  j.classes = {RoSizeClass::Constant, GlobalReductionClass::LinearConstant};
   j.submit_time_s = submit;
   return j;
 }
 
 /// Ground truth: execution behaves exactly like the prediction (so
 /// scheduling quality differences come from the policy alone).
-GridScheduler::ActualRunner faithful_runner(const grid::GridCatalog& cat) {
-  return [&cat](const JobRequest& j, const grid::Candidate& c) {
-    PredictorOptions opts;
-    opts.classes = j.classes;
-    opts.ipc = measure_ipc(cat.compute_site(c.compute_site).cluster);
-    ProfileConfig target;
+GridScheduler::ActualRunner faithful_runner(
+    const ShardedCatalog& cat,
+    std::vector<Profile> apps = {synthetic_profile()}) {
+  return [&cat, apps = std::move(apps)](const JobRequest& j,
+                                        const grid::Candidate& c) {
+    const auto profile =
+        std::find_if(apps.begin(), apps.end(),
+                     [&j](const Profile& p) { return p.app == j.app; });
+    auto opts = synthetic_options();
+    opts.ipc = core::measure_ipc(
+        cat.topology()->find_compute(c.compute_site)->cluster);
+    core::ProfileConfig target;
     target.data_nodes = c.replica.storage_nodes;
     target.compute_nodes = c.compute_nodes;
     target.dataset_bytes = j.dataset_bytes;
     target.bandwidth_Bps = c.wan.per_link_Bps;
-    return Predictor(j.profile, opts).predict(target).total();
+    return core::Predictor(*profile, opts).predict(target).total();
   };
 }
 
 /// Invariant: at no instant does any site's committed usage exceed its
 /// capacity, and no job starts before its submission.
-void check_invariants(const grid::GridCatalog& cat,
+void check_invariants(const ShardedCatalog& cat,
                       const std::vector<Placement>& placements,
                       const std::vector<JobRequest>& jobs) {
   for (std::size_t i = 0; i < placements.size(); ++i)
     EXPECT_GE(placements[i].start_s, jobs[i].submit_time_s) << jobs[i].id;
+  const auto topo = cat.topology();
   for (const auto& p : placements) {
     int used = 0;
     for (const auto& q : placements) {
@@ -80,7 +115,7 @@ void check_invariants(const grid::GridCatalog& cat,
         used += q.candidate.compute_nodes;
     }
     EXPECT_LE(used,
-              cat.compute_site(p.candidate.compute_site).available_nodes)
+              topo->find_compute(p.candidate.compute_site)->available_nodes)
         << "capacity exceeded at t=" << p.start_s;
   }
 }
@@ -92,35 +127,35 @@ TEST(Scheduler, RequiresCatalog) {
 
 TEST(Scheduler, SingleJobStartsImmediately) {
   const auto cat = one_site_catalog();
-  GridScheduler sched(&cat, SchedulingPolicy::PredictedBest);
+  const auto sched = scheduler(*cat, SchedulingPolicy::PredictedBest);
   const std::vector<JobRequest> jobs{job("j1", 10.0)};
-  const auto placements = sched.schedule(jobs, faithful_runner(cat));
+  const auto placements = sched->schedule(jobs, faithful_runner(*cat));
   ASSERT_EQ(placements.size(), 1u);
   EXPECT_DOUBLE_EQ(placements[0].start_s, 10.0);
   EXPECT_GT(placements[0].finish_s, 10.0);
   EXPECT_DOUBLE_EQ(placements[0].predicted_exec_s,
                    placements[0].actual_exec_s);
-  check_invariants(cat, placements, jobs);
+  check_invariants(*cat, placements, jobs);
 }
 
 TEST(Scheduler, PredictedBestPicksTheBiggestFreeAllocation) {
   // Compute-dominated job: more nodes is strictly better when free.
   const auto cat = one_site_catalog(8);
-  GridScheduler sched(&cat, SchedulingPolicy::PredictedBest);
+  const auto sched = scheduler(*cat, SchedulingPolicy::PredictedBest);
   const std::vector<JobRequest> jobs{job("j1", 0.0)};
-  const auto placements = sched.schedule(jobs, faithful_runner(cat));
+  const auto placements = sched->schedule(jobs, faithful_runner(*cat));
   EXPECT_EQ(placements[0].candidate.compute_nodes, 8);
 }
 
 TEST(Scheduler, QueueingDelaysSecondFullSizeJob) {
   const auto cat = one_site_catalog(8);
-  GridScheduler sched(&cat, SchedulingPolicy::MaxNodes);
+  const auto sched = scheduler(*cat, SchedulingPolicy::MaxNodes);
   const std::vector<JobRequest> jobs{job("j1", 0.0), job("j2", 0.0)};
-  const auto placements = sched.schedule(jobs, faithful_runner(cat));
+  const auto placements = sched->schedule(jobs, faithful_runner(*cat));
   ASSERT_EQ(placements.size(), 2u);
   // MaxNodes grabs all 8 nodes twice: the second job must wait.
   EXPECT_DOUBLE_EQ(placements[1].start_s, placements[0].finish_s);
-  check_invariants(cat, placements, jobs);
+  check_invariants(*cat, placements, jobs);
 }
 
 TEST(Scheduler, PredictedBestPacksSmallerAllocationsUnderLoad) {
@@ -129,40 +164,43 @@ TEST(Scheduler, PredictedBestPacksSmallerAllocationsUnderLoad) {
   // sub-linearly past 4 nodes... with perfectly linear scaling the halves
   // tie; use a disk-heavy profile so 8 nodes barely helps compute.
   const auto cat = one_site_catalog(8);
-  std::vector<JobRequest> jobs{job("a", 0.0), job("b", 0.0)};
+  const std::vector<JobRequest> jobs{job("a", 0.0), job("b", 0.0)};
   // Disk/network dominated: scaling compute nodes does almost nothing.
-  for (auto& j : jobs) {
-    j.profile.t_disk = 50.0;
-    j.profile.t_compute = 10.0;
-  }
-  GridScheduler best(&cat, SchedulingPolicy::PredictedBest);
-  const auto p_best = best.schedule(jobs, faithful_runner(cat));
-  GridScheduler greedy(&cat, SchedulingPolicy::MaxNodes);
-  const auto p_greedy = greedy.schedule(jobs, faithful_runner(cat));
-  EXPECT_LE(best.makespan(), greedy.makespan());
-  check_invariants(cat, p_best, jobs);
-  check_invariants(cat, p_greedy, jobs);
+  Profile disk_heavy = synthetic_profile();
+  disk_heavy.t_disk = 50.0;
+  disk_heavy.t_compute = 10.0;
+  const auto best =
+      scheduler(*cat, SchedulingPolicy::PredictedBest, {disk_heavy});
+  const auto p_best = best->schedule(jobs, faithful_runner(*cat, {disk_heavy}));
+  const auto greedy = scheduler(*cat, SchedulingPolicy::MaxNodes, {disk_heavy});
+  const auto p_greedy =
+      greedy->schedule(jobs, faithful_runner(*cat, {disk_heavy}));
+  EXPECT_LE(best->makespan(), greedy->makespan());
+  check_invariants(*cat, p_best, jobs);
+  check_invariants(*cat, p_greedy, jobs);
 }
 
 TEST(Scheduler, PredictedBestBeatsRoundRobinOnMixedLoad) {
   const auto cat = one_site_catalog(8);
+  const std::vector<Profile> apps{synthetic_profile("heavy", 200.0),
+                                  synthetic_profile("light", 40.0)};
   std::vector<JobRequest> jobs;
   for (int i = 0; i < 6; ++i)
     jobs.push_back(job("j" + std::to_string(i),
                        static_cast<double>(i) * 5.0,
-                       i % 2 == 0 ? 200.0 : 40.0));
-  GridScheduler best(&cat, SchedulingPolicy::PredictedBest);
-  const auto p_best = best.schedule(jobs, faithful_runner(cat));
-  const double best_turnaround = best.mean_turnaround();
-  GridScheduler rr(&cat, SchedulingPolicy::RoundRobin);
-  const auto p_rr = rr.schedule(jobs, faithful_runner(cat));
-  EXPECT_LE(best_turnaround, rr.mean_turnaround());
-  check_invariants(cat, p_best, jobs);
-  check_invariants(cat, p_rr, jobs);
+                       i % 2 == 0 ? "heavy" : "light"));
+  const auto best = scheduler(*cat, SchedulingPolicy::PredictedBest, apps);
+  const auto p_best = best->schedule(jobs, faithful_runner(*cat, apps));
+  const double best_turnaround = best->mean_turnaround();
+  const auto rr = scheduler(*cat, SchedulingPolicy::RoundRobin, apps);
+  const auto p_rr = rr->schedule(jobs, faithful_runner(*cat, apps));
+  EXPECT_LE(best_turnaround, rr->mean_turnaround());
+  check_invariants(*cat, p_best, jobs);
+  check_invariants(*cat, p_rr, jobs);
 }
 
 TEST(Scheduler, ForeignClustersNeedScalers) {
-  grid::GridCatalog cat;
+  ShardedCatalog cat(1);
   cat.register_repository_site({"repo", sim::cluster_pentium_myrinet(), 2});
   cat.register_compute_site(
       {"foreign", sim::cluster_opteron_infiniband(), 8});
@@ -170,42 +208,81 @@ TEST(Scheduler, ForeignClustersNeedScalers) {
   cat.register_replica({"data", "repo", 2});
 
   const std::vector<JobRequest> jobs{job("j1", 0.0)};
-  GridScheduler no_scalers(&cat, SchedulingPolicy::PredictedBest);
-  EXPECT_THROW(no_scalers.schedule(jobs, faithful_runner(cat)), util::Error);
+  const auto no_scalers = scheduler(cat, SchedulingPolicy::PredictedBest);
+  EXPECT_THROW(no_scalers->schedule(jobs, faithful_runner(cat)), util::Error);
 
-  std::map<std::string, ScalingFactors> scalers;
+  std::map<std::string, core::ScalingFactors> scalers;
   scalers["opteron-infiniband"] = {0.5, 0.8, 0.3};
-  GridScheduler with(&cat, SchedulingPolicy::PredictedBest, scalers);
+  GridScheduler with(&cat, SchedulingPolicy::PredictedBest);
+  with.register_app(synthetic_profile(), synthetic_options(), scalers);
   auto runner = [](const JobRequest&, const grid::Candidate&) { return 7.0; };
   const auto placements = with.schedule(jobs, runner);
   ASSERT_EQ(placements.size(), 1u);
   EXPECT_DOUBLE_EQ(placements[0].actual_exec_s, 7.0);
 }
 
+TEST(Scheduler, PredictsLikeTheSelectionService) {
+  // One candidate per site (2 storage nodes, 2 compute nodes), once on the
+  // profile's cluster and once on a foreign one. The foreign prediction
+  // wraps a predictor seeded with the profile cluster's IPC, which the
+  // caller registers; a 4 MB reduction object makes T_ro depend on it.
+  Profile profile = synthetic_profile();
+  profile.object_bytes = 4e6;
+  auto opts = synthetic_options();
+  opts.ipc = core::measure_ipc(sim::cluster_pentium_myrinet());
+  const std::map<std::string, core::ScalingFactors> scalers{
+      {"opteron-infiniband", core::ScalingFactors{0.5, 0.8, 0.3}}};
+  for (const auto& cluster : {sim::cluster_pentium_myrinet(),
+                              sim::cluster_opteron_infiniband()}) {
+    ShardedCatalog cat(1);
+    cat.register_repository_site({"repo", sim::cluster_pentium_myrinet(), 2});
+    cat.register_compute_site({"hpc", cluster, 2});
+    cat.register_link("repo", "hpc", sim::wan_mbps(100));
+    cat.register_replica({"data", "repo", 2});
+
+    GridScheduler sched(&cat, SchedulingPolicy::PredictedBest);
+    sched.register_app(profile, opts, scalers);
+    const auto placements = sched.schedule(
+        {job("j1", 0.0)},
+        [](const JobRequest&, const grid::Candidate&) { return 1.0; });
+    SelectionService svc(&cat);
+    svc.register_app(profile, opts, scalers);
+    const auto result = svc.query({profile.app, "data", 1e9, 1});
+
+    ASSERT_EQ(placements.size(), 1u);
+    EXPECT_EQ(placements[0].candidate.compute_nodes, 2) << cluster.name;
+    EXPECT_EQ(result.best().used_hetero_scaling,
+              cluster.name != profile.config.compute_cluster);
+    EXPECT_EQ(placements[0].predicted_exec_s,
+              result.best().predicted.total())
+        << cluster.name;
+  }
+}
+
 TEST(Scheduler, MetricsMatchPlacements) {
   const auto cat = one_site_catalog(8);
-  GridScheduler sched(&cat, SchedulingPolicy::PredictedBest);
+  const auto sched = scheduler(*cat, SchedulingPolicy::PredictedBest);
   const std::vector<JobRequest> jobs{job("a", 0.0), job("b", 3.0)};
-  const auto placements = sched.schedule(jobs, faithful_runner(cat));
+  const auto placements = sched->schedule(jobs, faithful_runner(*cat));
   double expected_makespan = 0.0, turnaround = 0.0;
   for (std::size_t i = 0; i < placements.size(); ++i) {
     expected_makespan = std::max(expected_makespan, placements[i].finish_s);
     turnaround += placements[i].finish_s - jobs[i].submit_time_s;
   }
-  EXPECT_DOUBLE_EQ(sched.makespan(), expected_makespan);
-  EXPECT_DOUBLE_EQ(sched.mean_turnaround(), turnaround / 2.0);
+  EXPECT_DOUBLE_EQ(sched->makespan(), expected_makespan);
+  EXPECT_DOUBLE_EQ(sched->mean_turnaround(), turnaround / 2.0);
 }
 
 TEST(Scheduler, ReschedulingResetsState) {
   const auto cat = one_site_catalog(8);
-  GridScheduler sched(&cat, SchedulingPolicy::MaxNodes);
+  const auto sched = scheduler(*cat, SchedulingPolicy::MaxNodes);
   const std::vector<JobRequest> jobs{job("a", 0.0)};
-  const auto first = sched.schedule(jobs, faithful_runner(cat));
-  const auto second = sched.schedule(jobs, faithful_runner(cat));
+  const auto first = sched->schedule(jobs, faithful_runner(*cat));
+  const auto second = sched->schedule(jobs, faithful_runner(*cat));
   // Same stream, fresh reservations: identical placement both times.
   EXPECT_DOUBLE_EQ(first[0].start_s, second[0].start_s);
   EXPECT_DOUBLE_EQ(first[0].finish_s, second[0].finish_s);
 }
 
 }  // namespace
-}  // namespace fgp::core
+}  // namespace fgp::service

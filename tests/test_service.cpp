@@ -1,7 +1,8 @@
 // Tests for the prediction-as-a-service layer (DESIGN.md §16): sharded
-// catalog snapshot semantics, GridCatalog parity, compiled-profile
-// caching, batched selection bit-identity across pool sizes, and
-// concurrent readers racing snapshot swaps (run under TSan in CI).
+// catalog validation, enumeration order and snapshot semantics,
+// compiled-profile caching, ranking quality and tie order, batched
+// selection bit-identity across pool sizes, and concurrent readers racing
+// snapshot swaps (run under TSan in CI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,8 +15,8 @@
 #include <vector>
 
 #include "core/ipc_probe.h"
-#include "core/selector.h"
 #include "grid/catalog.h"
+#include "helpers.h"
 #include "obs/hdr.h"
 #include "obs/metrics.h"
 #include "obs/slowlog.h"
@@ -28,10 +29,15 @@
 #include "sim/network.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/stats.h"
 #include "util/thread_pool.h"
 
 namespace fgp::service {
 namespace {
+
+using fgp::testing::make_sum_dataset;
+using fgp::testing::pentium_setup;
+using fgp::testing::SumKernel;
 
 core::Profile synthetic_profile(const std::string& app,
                                 const std::string& cluster) {
@@ -61,9 +67,16 @@ core::PredictorOptions synthetic_options() {
   return opts;
 }
 
-/// Registers the same small grid into both catalog implementations.
-template <typename Catalog>
-void populate(Catalog& cat) {
+/// The replicas populate() registers, in registration order.
+std::vector<grid::Replica> populated_replicas() {
+  return {{"em-data", "repo-east", 4},
+          {"em-data", "repo-west", 2},
+          {"points", "repo-west", 1}};
+}
+
+/// Registers a small grid: two repositories, two compute sites on
+/// different hardware, and one unreachable pair (repo-west -> hpc-opteron).
+void populate(ShardedCatalog& cat) {
   const auto pentium = sim::cluster_pentium_myrinet();
   const auto opteron = sim::cluster_opteron_infiniband();
   cat.register_repository_site({"repo-east", pentium, 8});
@@ -73,9 +86,7 @@ void populate(Catalog& cat) {
   cat.register_link("repo-east", "hpc-pentium", sim::wan_mbps(80));
   cat.register_link("repo-east", "hpc-opteron", sim::wan_mbps(20));
   cat.register_link("repo-west", "hpc-pentium", sim::wan_mbps(30));
-  cat.register_replica({"em-data", "repo-east", 4});
-  cat.register_replica({"em-data", "repo-west", 2});
-  cat.register_replica({"points", "repo-west", 1});
+  for (const auto& r : populated_replicas()) cat.register_replica(r);
 }
 
 std::map<std::string, core::ScalingFactors> opteron_scalers() {
@@ -91,18 +102,41 @@ bool same_candidate(const grid::Candidate& a, const grid::Candidate& b) {
          a.wan.per_link_Bps == b.wan.per_link_Bps;
 }
 
-/// Both catalogs enumerate the same candidates for `dataset`, in order.
-void expect_enumeration_parity(const grid::GridCatalog& flat,
-                               const ShardedCatalog& sharded,
-                               const std::string& dataset) {
-  const auto expect = flat.enumerate_candidates(dataset);
-  const auto got = ShardedCatalog::enumerate_candidates(
-      *sharded.topology(), *sharded.shard_for(dataset), dataset);
-  ASSERT_EQ(got.size(), expect.size())
-      << dataset << " @" << sharded.shard_count();
+/// The catalog's candidates for `dataset` against its current snapshots.
+std::vector<grid::Candidate> enumerate(const ShardedCatalog& cat,
+                                       const std::string& dataset) {
+  return ShardedCatalog::enumerate_candidates(
+      *cat.topology(), *cat.shard_for(dataset), dataset);
+}
+
+/// The enumeration contract written out longhand: the replicas of
+/// `dataset` in registration order, then the compute sites in
+/// registration order, pairs without a link skipped, and c = 1, 2, 4, ...
+/// up to the site's nodes, keeping c >= the replica's storage nodes.
+std::vector<grid::Candidate> contract_candidates(
+    const std::vector<grid::Replica>& registered, const Topology& topo,
+    const std::string& dataset) {
+  std::vector<grid::Candidate> out;
+  for (const auto& replica : registered) {
+    if (replica.dataset != dataset) continue;
+    for (const auto& site : topo.compute_sites) {
+      const auto* wan = topo.find_link(replica.repository, site.id);
+      if (wan == nullptr) continue;
+      for (int c = 1; c <= site.available_nodes; c *= 2)
+        if (c >= replica.storage_nodes)
+          out.push_back({replica, site.id, c, *wan});
+    }
+  }
+  return out;
+}
+
+void expect_same_candidates(const std::vector<grid::Candidate>& got,
+                            const std::vector<grid::Candidate>& expect,
+                            const std::string& context) {
+  ASSERT_EQ(got.size(), expect.size()) << context;
   for (std::size_t i = 0; i < got.size(); ++i)
     EXPECT_TRUE(same_candidate(got[i], expect[i]))
-        << dataset << " candidate " << i << " @" << sharded.shard_count();
+        << context << " candidate " << i;
 }
 
 // ---------------------------------------------------------------------------
@@ -125,16 +159,42 @@ TEST(ShardedCatalog, ShardOfIsStableAndInRange) {
   }
 }
 
-TEST(ShardedCatalog, ValidationMatchesGridCatalog) {
+TEST(ShardedCatalog, RegistrationIsValidated) {
   ShardedCatalog cat(4);
   populate(cat);
+  const auto before = cat.topology();
   EXPECT_THROW(cat.register_compute_site(
                    {"hpc-pentium", sim::cluster_ideal(), 4}),
+               util::Error);
+  EXPECT_THROW(cat.register_repository_site(
+                   {"repo-east", sim::cluster_ideal(), 4}),
                util::Error);
   EXPECT_THROW(cat.register_replica({"x", "nope", 1}), util::Error);
   EXPECT_THROW(cat.register_replica({"x", "repo-west", 5}), util::Error);
   EXPECT_THROW(cat.register_link("repo-east", "nope", sim::wan_mbps(10)),
                util::Error);
+  EXPECT_THROW(cat.register_link("nope", "hpc-pentium", sim::wan_mbps(10)),
+               util::Error);
+  EXPECT_THROW(
+      cat.register_link("repo-east", "hpc-pentium", sim::wan_mbps(10)),
+      util::Error);
+  // A rejected registration publishes nothing.
+  const auto topo = cat.topology();
+  EXPECT_EQ(topo->version, before->version);
+  EXPECT_EQ(cat.replica_count(), populated_replicas().size());
+
+  ASSERT_NE(topo->find_compute("hpc-pentium"), nullptr);
+  EXPECT_EQ(topo->find_compute("hpc-pentium")->available_nodes, 16);
+  ASSERT_NE(topo->find_repository("repo-west"), nullptr);
+  EXPECT_EQ(topo->find_repository("repo-west")->available_nodes, 4);
+  ASSERT_NE(topo->find_link("repo-east", "hpc-opteron"), nullptr);
+  EXPECT_DOUBLE_EQ(topo->find_link("repo-east", "hpc-opteron")->per_link_Bps,
+                   20e6 / 8.0);
+  EXPECT_EQ(topo->find_compute("nope"), nullptr);
+  EXPECT_EQ(topo->find_repository("nope"), nullptr);
+  EXPECT_EQ(topo->find_repository("hpc-pentium"), nullptr);
+  EXPECT_EQ(topo->find_link("repo-west", "hpc-opteron"), nullptr);
+  EXPECT_EQ(topo->find_link("nope", "hpc-pentium"), nullptr);
 }
 
 TEST(ShardedCatalog, BulkRegisterIsAllOrNothing) {
@@ -147,22 +207,55 @@ TEST(ShardedCatalog, BulkRegisterIsAllOrNothing) {
   EXPECT_EQ(cat.replica_count(), before);
 }
 
-TEST(ShardedCatalog, EnumerationMatchesGridCatalogExactly) {
-  grid::GridCatalog flat;
-  populate(flat);
+TEST(ShardedCatalog, EnumeratesTheExpectedCandidates) {
+  struct Expected {
+    const char* repository;
+    int storage_nodes;
+    const char* site;
+    int compute_nodes;
+    double wan_mbps;
+  };
+  // repo-east (4 storage nodes) reaches both sites; repo-west (2) reaches
+  // only hpc-pentium. Both sites have 16 nodes.
+  const std::vector<Expected> em_data = {
+      {"repo-east", 4, "hpc-pentium", 4, 80},
+      {"repo-east", 4, "hpc-pentium", 8, 80},
+      {"repo-east", 4, "hpc-pentium", 16, 80},
+      {"repo-east", 4, "hpc-opteron", 4, 20},
+      {"repo-east", 4, "hpc-opteron", 8, 20},
+      {"repo-east", 4, "hpc-opteron", 16, 20},
+      {"repo-west", 2, "hpc-pentium", 2, 30},
+      {"repo-west", 2, "hpc-pentium", 4, 30},
+      {"repo-west", 2, "hpc-pentium", 8, 30},
+      {"repo-west", 2, "hpc-pentium", 16, 30},
+  };
   for (std::size_t shards : {1u, 3u, 16u}) {
-    ShardedCatalog sharded(shards);
-    populate(sharded);
-    for (const std::string dataset : {"em-data", "points", "unknown"})
-      expect_enumeration_parity(flat, sharded, dataset);
+    ShardedCatalog cat(shards);
+    EXPECT_TRUE(enumerate(cat, "em-data").empty()) << shards;
+    populate(cat);
+    const auto got = enumerate(cat, "em-data");
+    ASSERT_EQ(got.size(), em_data.size()) << shards;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].replica.dataset, "em-data");
+      EXPECT_EQ(got[i].replica.repository, em_data[i].repository) << i;
+      EXPECT_EQ(got[i].replica.storage_nodes, em_data[i].storage_nodes) << i;
+      EXPECT_EQ(got[i].compute_site, em_data[i].site) << i;
+      EXPECT_EQ(got[i].compute_nodes, em_data[i].compute_nodes) << i;
+      EXPECT_EQ(got[i].wan.per_link_Bps,
+                sim::wan_mbps(em_data[i].wan_mbps).per_link_Bps)
+          << i;
+    }
+    // One storage node: every power of two up to 16 on hpc-pentium.
+    EXPECT_EQ(enumerate(cat, "points").size(), 5u) << shards;
+    EXPECT_TRUE(enumerate(cat, "unknown").empty()) << shards;
   }
 }
 
-TEST(ShardedCatalog, RandomRegistrationsKeepGridCatalogOrder) {
+TEST(ShardedCatalog, RandomRegistrationsFollowTheEnumerationContract) {
   // A publish merges the stably sorted batch after a shard's existing
   // entries, so any mix of single and bulk registrations — repeated
   // datasets, names arriving unsorted — must keep every shard sorted and
-  // registration order within each dataset (GridCatalog parity).
+  // registration order within each dataset.
   constexpr int kDatasets = 17;
   util::Rng rng(20070326);
   std::vector<std::vector<grid::Replica>> batches(60);
@@ -176,10 +269,9 @@ TEST(ShardedCatalog, RandomRegistrationsKeepGridCatalogOrder) {
                        1 + static_cast<int>(rng.next_below(east ? 8 : 4))});
     }
   }
-  grid::GridCatalog flat;
-  populate(flat);
+  std::vector<grid::Replica> registered = populated_replicas();
   for (const auto& batch : batches)
-    for (const auto& r : batch) flat.register_replica(r);
+    registered.insert(registered.end(), batch.begin(), batch.end());
 
   for (std::size_t shards : {1u, 3u, 16u}) {
     ShardedCatalog sharded(shards);
@@ -199,9 +291,15 @@ TEST(ShardedCatalog, RandomRegistrationsKeepGridCatalogOrder) {
           }))
           << "shard " << s << " of " << shards;
     }
+    const auto topo = sharded.topology();
+    std::vector<std::string> datasets = {"em-data", "points"};
     for (int d = 0; d < kDatasets; ++d)
-      expect_enumeration_parity(flat, sharded, "ds-" + std::to_string(d));
-    expect_enumeration_parity(flat, sharded, "em-data");
+      datasets.push_back("ds-" + std::to_string(d));
+    for (const auto& dataset : datasets)
+      expect_same_candidates(
+          enumerate(sharded, dataset),
+          contract_candidates(registered, *topo, dataset),
+          dataset + " @" + std::to_string(shards));
   }
 }
 
@@ -286,39 +384,6 @@ SelectionQuery em_query(double bytes = 700e6, int top_k = 4) {
   return q;
 }
 
-TEST(SelectionService, AgreesWithResourceSelector) {
-  grid::GridCatalog flat;
-  populate(flat);
-  ShardedCatalog sharded(4);
-  populate(sharded);
-
-  const auto profile = synthetic_profile("em", "pentium-myrinet");
-  // Both engines share one contract: options.ipc is the profile
-  // cluster's interconnect, and it seeds the hetero base predictor.
-  auto opts = synthetic_options();
-  opts.ipc = core::measure_ipc(sim::cluster_pentium_myrinet());
-  SelectionService svc(&sharded);
-  svc.register_app(profile, opts, opteron_scalers());
-  const core::ResourceSelector selector(&flat, profile, opts,
-                                        opteron_scalers());
-
-  const auto expect = selector.rank("em-data", 700e6);
-  const auto got = svc.query(em_query(700e6, 1 << 20));
-  ASSERT_TRUE(got.ok()) << got.error;
-  ASSERT_EQ(got.ranked.size(), expect.size());
-  for (std::size_t i = 0; i < got.ranked.size(); ++i) {
-    EXPECT_TRUE(same_candidate(got.ranked[i].candidate,
-                               expect[i].candidate))
-        << "rank " << i;
-    EXPECT_EQ(got.ranked[i].predicted.total(), expect[i].predicted.total());
-    EXPECT_EQ(got.ranked[i].predicted.disk, expect[i].predicted.disk);
-    EXPECT_EQ(got.ranked[i].predicted.network, expect[i].predicted.network);
-    EXPECT_EQ(got.ranked[i].predicted.compute, expect[i].predicted.compute);
-    EXPECT_EQ(got.ranked[i].used_hetero_scaling,
-              expect[i].used_hetero_scaling);
-  }
-}
-
 TEST(SelectionService, BadQueriesFailAloneWithoutThrowing) {
   ShardedCatalog cat(4);
   populate(cat);
@@ -358,6 +423,132 @@ TEST(SelectionService, TopKBoundsTheRanking) {
                                full.ranked[i].candidate));
   }
   EXPECT_EQ(full.candidates_considered, top2.candidates_considered);
+}
+
+TEST(SelectionService, PicksTheTrulyCheapestCandidate) {
+  const auto ds = make_sum_dataset(32, 64, 200.0);
+
+  ShardedCatalog catalog(1);
+  catalog.register_repository_site(
+      {"repo-near", sim::cluster_pentium_myrinet(), 4});
+  catalog.register_repository_site(
+      {"repo-far", sim::cluster_pentium_myrinet(), 8});
+  catalog.register_compute_site({"hpc", sim::cluster_pentium_myrinet(), 16});
+  catalog.register_link("repo-near", "hpc", sim::wan_mbps(200));
+  catalog.register_link("repo-far", "hpc", sim::wan_mbps(10));
+  catalog.register_replica({"data", "repo-near", 2});
+  catalog.register_replica({"data", "repo-far", 8});
+
+  // Profile on the same compute cluster.
+  auto profile_setup = pentium_setup(&ds, 1, 1);
+  SumKernel profile_kernel;
+  const core::Profile p =
+      core::ProfileCollector::collect(profile_setup, profile_kernel);
+
+  core::PredictorOptions opts;
+  opts.model = core::PredictionModel::GlobalReduction;
+  opts.classes = {core::RoSizeClass::Constant,
+                  core::GlobalReductionClass::LinearConstant};
+  SelectionService svc(&catalog);
+  svc.register_app(p, opts);
+
+  const auto result =
+      svc.query({p.app, "data", ds.total_virtual_bytes(), 1 << 20});
+  ASSERT_TRUE(result.ok()) << result.error;
+  const auto& ranked = result.ranked;
+  ASSERT_FALSE(ranked.empty());
+  for (std::size_t i = 1; i < ranked.size(); ++i)
+    EXPECT_LE(ranked[i - 1].predicted.total(), ranked[i].predicted.total());
+
+  // Ground truth: simulate every candidate and find the true optimum.
+  double best_actual = 1e300;
+  grid::Candidate best_candidate;
+  const auto topo = catalog.topology();
+  for (const auto& cand : enumerate(catalog, "data")) {
+    freeride::JobSetup setup;
+    setup.dataset = &ds;
+    setup.data_cluster =
+        topo->find_repository(cand.replica.repository)->cluster;
+    setup.compute_cluster = topo->find_compute(cand.compute_site)->cluster;
+    setup.wan = cand.wan;
+    setup.config.data_nodes = cand.replica.storage_nodes;
+    setup.config.compute_nodes = cand.compute_nodes;
+    SumKernel k;
+    const double t = freeride::Runtime().run(setup, k).timing.total.total();
+    if (t < best_actual) {
+      best_actual = t;
+      best_candidate = cand;
+    }
+  }
+  const auto& chosen = result.best();
+  EXPECT_EQ(chosen.candidate.replica.repository,
+            best_candidate.replica.repository);
+  EXPECT_EQ(chosen.candidate.compute_nodes, best_candidate.compute_nodes);
+  // The predicted cost of the winner is close to its simulated cost.
+  EXPECT_LT(util::relative_error(best_actual, chosen.predicted.total()), 0.15);
+}
+
+TEST(SelectionService, SkipsClustersWithoutScalingFactors) {
+  const auto ds = make_sum_dataset(8, 32);
+  ShardedCatalog catalog(1);
+  catalog.register_repository_site(
+      {"repo", sim::cluster_pentium_myrinet(), 2});
+  catalog.register_compute_site(
+      {"other", sim::cluster_opteron_infiniband(), 8});
+  catalog.register_link("repo", "other", sim::wan_mbps(50));
+  catalog.register_replica({"data", "repo", 2});
+
+  auto profile_setup = pentium_setup(&ds, 1, 1);
+  SumKernel kernel;
+  const core::Profile p = core::ProfileCollector::collect(profile_setup, kernel);
+  core::PredictorOptions opts;
+  opts.ipc = core::measure_ipc(profile_setup.compute_cluster);
+  const SelectionQuery query{p.app, "data", ds.total_virtual_bytes(), 1 << 20};
+
+  SelectionService no_scalers(&catalog);
+  no_scalers.register_app(p, opts);
+  const auto none = no_scalers.query(query);
+  EXPECT_FALSE(none.ok());
+  EXPECT_TRUE(none.ranked.empty());
+  EXPECT_THROW(none.best(), util::Error);
+
+  SelectionService with_scalers(&catalog);
+  with_scalers.register_app(
+      p, opts, {{"opteron-infiniband", core::ScalingFactors{0.5, 0.6, 0.3}}});
+  const auto scaled = with_scalers.query(query);
+  ASSERT_TRUE(scaled.ok()) << scaled.error;
+  EXPECT_FALSE(scaled.ranked.empty());
+  for (const auto& rc : scaled.ranked) EXPECT_TRUE(rc.used_hetero_scaling);
+}
+
+TEST(SelectionService, EqualCostCandidatesRankByIdentity) {
+  // Two interchangeable repositories, registered in reverse name order:
+  // every candidate on repo-b costs exactly what its repo-a twin does, so
+  // only the identity tie-break orders each pair.
+  const auto pentium = sim::cluster_pentium_myrinet();
+  ShardedCatalog cat(1);
+  cat.register_repository_site({"repo-b", pentium, 4});
+  cat.register_repository_site({"repo-a", pentium, 4});
+  cat.register_compute_site({"hpc", pentium, 8});
+  cat.register_link("repo-b", "hpc", sim::wan_mbps(50));
+  cat.register_link("repo-a", "hpc", sim::wan_mbps(50));
+  cat.register_replica({"data", "repo-b", 2});
+  cat.register_replica({"data", "repo-a", 2});
+  SelectionService svc(&cat);
+  svc.register_app(synthetic_profile("em", "pentium-myrinet"),
+                   synthetic_options());
+
+  const auto result = svc.query({"em", "data", 700e6, 1 << 20});
+  ASSERT_TRUE(result.ok()) << result.error;
+  ASSERT_EQ(result.ranked.size(), 6u);  // c in {2, 4, 8} per repository
+  for (std::size_t i = 0; i < result.ranked.size(); i += 2) {
+    const auto& first = result.ranked[i];
+    const auto& second = result.ranked[i + 1];
+    EXPECT_EQ(first.predicted.total(), second.predicted.total()) << i;
+    EXPECT_EQ(first.candidate.compute_nodes, second.candidate.compute_nodes);
+    EXPECT_EQ(first.candidate.replica.repository, "repo-a") << i;
+    EXPECT_EQ(second.candidate.replica.repository, "repo-b") << i;
+  }
 }
 
 /// Builds a larger catalog + mixed query stream for the determinism and

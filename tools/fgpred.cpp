@@ -12,14 +12,14 @@
 // Apps: kmeans em knn vortex defect apriori ann knn-classify vortex3d
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common.h"
 #include "core/cache_planner.h"
 #include "core/ipc_probe.h"
-#include "core/selector.h"
-#include "grid/catalog.h"
+#include "service/selection_service.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -168,7 +168,7 @@ int cmd_sweep(const std::vector<std::string>& args) {
 int cmd_select() {
   const auto app = bench::make_em_app(700.0, 2.0, 42);
   const auto pentium = sim::cluster_pentium_myrinet();
-  grid::GridCatalog catalog;
+  service::ShardedCatalog catalog(1);
   catalog.register_repository_site({"storage-a", pentium, 8});
   catalog.register_repository_site({"storage-b", pentium, 4});
   catalog.register_compute_site({"hpc", pentium, 16});
@@ -181,9 +181,12 @@ int cmd_select() {
       bench::profile_of(app, pentium, pentium, sim::wan_mbps(40), {1, 1});
   core::PredictorOptions popts;
   popts.classes = app.classes;
-  const core::ResourceSelector selector(&catalog, profile, popts);
-  const auto ranked =
-      selector.rank("em-points", app.dataset->total_virtual_bytes());
+  service::SelectionService selector(&catalog);
+  selector.register_app(profile, popts);
+  const service::SelectionQuery query{profile.app, "em-points",
+                                      app.dataset->total_virtual_bytes(),
+                                      std::numeric_limits<int>::max()};
+  const auto ranked = selector.query(query).ranked;
 
   util::Table table({"rank", "replica", "n", "c", "T_pred(s)"});
   for (std::size_t i = 0; i < ranked.size(); ++i)
