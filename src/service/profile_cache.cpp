@@ -65,6 +65,9 @@ std::shared_ptr<const CompiledApp> ProfileCache::resolve(
       compiled->site_predictors.emplace_back();  // unpredictable
     }
   }
+  for (const auto& repo : topo->repository_sites)
+    for (const auto& site : topo->compute_sites)
+      compiled->links.push_back(topo->find_link(repo.id, site.id));
   entry.compiled = std::move(compiled);
   return entry.compiled;
 }

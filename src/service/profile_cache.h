@@ -7,8 +7,9 @@
 // and fatal for a service answering thousands of queries per second over
 // the same handful of cluster kinds. The cache compiles, once per (app,
 // topology version), one predictor per compute site — the IPC probe runs
-// once per site, the hetero scalers are resolved once — and hands
-// callers an immutable CompiledApp snapshot under shared_ptr.
+// once per site, the hetero scalers are resolved once — plus a dense
+// (repository, site) link table, and hands callers an immutable
+// CompiledApp snapshot under shared_ptr.
 //
 // SelectionService fills the cache only from query_batch's *serial*
 // prepare phase, so the hit/miss counters are deterministic-domain
@@ -60,6 +61,11 @@ struct CompiledApp {
   std::shared_ptr<const Topology> topology;
   core::Profile profile;
   std::vector<SitePredictor> site_predictors;
+  /// The WAN link from repository_sites[r] to compute_sites[s] at
+  /// links[r * compute_sites.size() + s], or nullptr for an unreachable
+  /// pair. Points into *topology, so a query reads a link by index
+  /// instead of searching by name.
+  std::vector<const sim::WanSpec*> links;
 };
 
 class ProfileCache {

@@ -16,25 +16,6 @@ namespace fgp::service {
 
 namespace {
 
-/// Deterministic total order on ranked candidates: predicted total time,
-/// then the candidate's identity. std::sort is not stable, so without the
-/// identity tie-break two equal-cost candidates could legally come back
-/// in either order — the bit-identity contract needs exactly one.
-bool ranked_less(const RankedCandidate& a, const RankedCandidate& b) {
-  const double ta = a.predicted.total();
-  const double tb = b.predicted.total();
-  if (ta != tb) return ta < tb;
-  const auto& ca = a.candidate;
-  const auto& cb = b.candidate;
-  if (ca.replica.repository != cb.replica.repository)
-    return ca.replica.repository < cb.replica.repository;
-  if (ca.compute_site != cb.compute_site)
-    return ca.compute_site < cb.compute_site;
-  if (ca.replica.storage_nodes != cb.replica.storage_nodes)
-    return ca.replica.storage_nodes < cb.replica.storage_nodes;
-  return ca.compute_nodes < cb.compute_nodes;
-}
-
 /// Everything one query needs for its (pure) evaluate phase.
 struct PreparedQuery {
   const SelectionQuery* query = nullptr;
@@ -43,6 +24,18 @@ struct PreparedQuery {
   std::size_t shard_index = 0;  ///< valid when needs_shard
   bool needs_shard = false;
   std::string error;  ///< non-empty: fail without evaluating
+};
+
+/// One candidate, costed but not yet materialized as a RankedCandidate.
+/// Both pointers outlive evaluate(): `replica` points into
+/// PreparedQuery::shard and `wan` into CompiledApp::topology.
+struct Costed {
+  core::PredictedTime predicted;
+  double total = 0.0;
+  const grid::Replica* replica = nullptr;
+  std::size_t site = 0;  ///< index into Topology::compute_sites
+  int nodes = 0;
+  const sim::WanSpec* wan = nullptr;
 };
 
 /// Ranks one prepared query against its captured snapshots. Pure: touches
@@ -55,14 +48,18 @@ SelectionResult evaluate(const PreparedQuery& p) {
     return out;
   }
   const SelectionQuery& q = *p.query;
-  const Topology& topo = *p.compiled->topology;
+  const CompiledApp& compiled = *p.compiled;
+  const Topology& topo = *compiled.topology;
   const auto replicas = p.shard->replicas_of(q.dataset);
   if (replicas.empty()) {
     out.error = "no replica of dataset '" + q.dataset + "'";
     return out;
   }
 
-  std::vector<RankedCandidate> ranked;
+  const std::size_t site_count = topo.compute_sites.size();
+  std::vector<Costed> costed;
+  core::ProfileConfig target;
+  target.dataset_bytes = q.dataset_bytes;
   for (const auto& replica : replicas) {
     const auto* repo = topo.find_repository(replica.repository);
     // Snapshot skew: the batch captures the topology before its shards, so
@@ -71,45 +68,59 @@ SelectionResult evaluate(const PreparedQuery& p) {
     // batch's (older) topology. That replica is unreachable for this
     // batch — the next batch's fresher topology will rank it.
     if (repo == nullptr) continue;
-    for (std::size_t s = 0; s < topo.compute_sites.size(); ++s) {
+    const std::size_t row =
+        static_cast<std::size_t>(repo - topo.repository_sites.data()) *
+        site_count;
+    target.data_nodes = replica.storage_nodes;
+    for (std::size_t s = 0; s < site_count; ++s) {
       const auto& site = topo.compute_sites[s];
-      const SitePredictor& predictor = p.compiled->site_predictors[s];
+      const SitePredictor& predictor = compiled.site_predictors[s];
       if (!predictor.predictable()) continue;
-      const auto* wan = topo.find_link(replica.repository, site.id);
+      const sim::WanSpec* wan = compiled.links[row + s];
       if (wan == nullptr) continue;  // unreachable pair
-
-      core::ProfileConfig target;
-      target.data_nodes = replica.storage_nodes;
-      target.dataset_bytes = q.dataset_bytes;
       target.bandwidth_Bps = wan->per_link_Bps;
-      target.data_cluster = repo->cluster.name;
-      target.compute_cluster = site.cluster.name;
       // 64-bit sweep counter: `c *= 2` on an int is UB once
       // available_nodes exceeds INT_MAX/2.
       for (long long c = 1; c <= site.available_nodes; c *= 2) {
         if (c < replica.storage_nodes) continue;  // FREERIDE-G: M >= N
         ++out.candidates_considered;
-        const int nodes = static_cast<int>(c);
-        target.compute_nodes = nodes;
-        RankedCandidate rc;
-        rc.candidate = {replica, site.id, nodes, *wan};
-        rc.predicted = predictor.predict(target);
-        rc.used_hetero_scaling = predictor.uses_hetero_scaling();
-        ranked.push_back(std::move(rc));
+        target.compute_nodes = static_cast<int>(c);
+        const core::PredictedTime predicted = predictor.predict(target);
+        costed.push_back({predicted, predicted.total(), &replica, s,
+                          target.compute_nodes, wan});
       }
     }
   }
-  if (ranked.empty()) {
+  if (costed.empty()) {
     out.error = "no predictable candidate for dataset '" + q.dataset + "'";
     return out;
   }
 
+  // Deterministic total order: predicted total time, then the candidate's
+  // identity. std::sort is not stable, so without the identity tie-break
+  // two equal-cost candidates could legally come back in either order —
+  // the bit-identity contract needs exactly one.
+  const auto less = [&topo](const Costed& a, const Costed& b) {
+    if (a.total != b.total) return a.total < b.total;
+    if (a.replica->repository != b.replica->repository)
+      return a.replica->repository < b.replica->repository;
+    if (a.site != b.site)
+      return topo.compute_sites[a.site].id < topo.compute_sites[b.site].id;
+    if (a.replica->storage_nodes != b.replica->storage_nodes)
+      return a.replica->storage_nodes < b.replica->storage_nodes;
+    return a.nodes < b.nodes;
+  };
   const std::size_t k =
-      std::min<std::size_t>(static_cast<std::size_t>(q.top_k), ranked.size());
-  std::partial_sort(ranked.begin(), ranked.begin() + k, ranked.end(),
-                    ranked_less);
-  ranked.resize(k);
-  out.ranked = std::move(ranked);
+      std::min<std::size_t>(static_cast<std::size_t>(q.top_k), costed.size());
+  std::partial_sort(costed.begin(), costed.begin() + k, costed.end(), less);
+  out.ranked.reserve(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const Costed& rec = costed[i];
+    out.ranked.push_back(
+        {{*rec.replica, topo.compute_sites[rec.site].id, rec.nodes, *rec.wan},
+         rec.predicted,
+         compiled.site_predictors[rec.site].uses_hetero_scaling()});
+  }
   return out;
 }
 

@@ -119,6 +119,9 @@ void ShardedCatalog::register_repository_site(grid::RepositorySite site) {
 void ShardedCatalog::register_link(const grid::SiteId& repository,
                                    const grid::SiteId& compute,
                                    sim::WanSpec wan) {
+  // A link with no bandwidth would make every query that reaches it throw
+  // in the predictor, taking the rest of its batch down with it.
+  wan.validate();
   const std::lock_guard<std::mutex> lock(write_mu_);
   auto next = std::make_shared<Topology>(*topology_.load());
   FGP_CHECK_MSG(next->find_repository(repository) != nullptr,

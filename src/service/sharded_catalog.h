@@ -94,6 +94,8 @@ class ShardedCatalog {
   // --- writers (serialized internally, copy-on-publish) -------------------
   void register_compute_site(grid::ComputeSite site);
   void register_repository_site(grid::RepositorySite site);
+  /// Throws util::ConfigError, publishing nothing, when `wan` fails
+  /// WanSpec::validate.
   void register_link(const grid::SiteId& repository,
                      const grid::SiteId& compute, sim::WanSpec wan);
   void register_replica(grid::Replica replica);

@@ -8,10 +8,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/ipc_probe.h"
@@ -178,6 +180,22 @@ TEST(ShardedCatalog, RegistrationIsValidated) {
   EXPECT_THROW(
       cat.register_link("repo-east", "hpc-pentium", sim::wan_mbps(10)),
       util::Error);
+  // An invalid WAN spec is rejected on a pair that has no link yet, so
+  // only the spec itself can be at fault.
+  const auto bad_wan = [](double per_link_Bps, double protocol_overhead) {
+    sim::WanSpec wan = sim::wan_mbps(10);
+    wan.per_link_Bps = per_link_Bps;
+    wan.protocol_overhead = protocol_overhead;
+    return wan;
+  };
+  for (const sim::WanSpec& wan :
+       {bad_wan(0.0, 0.03), bad_wan(-1.0, 0.03),
+        bad_wan(std::numeric_limits<double>::quiet_NaN(), 0.03),
+        bad_wan(1e6, 1.0)}) {
+    EXPECT_THROW(cat.register_link("repo-west", "hpc-opteron", wan),
+                 util::ConfigError);
+    EXPECT_EQ(cat.topology()->version, before->version);
+  }
   // A rejected registration publishes nothing.
   const auto topo = cat.topology();
   EXPECT_EQ(topo->version, before->version);
@@ -340,6 +358,16 @@ TEST(ProfileCache, ResolveCompilesOncePerTopologyVersion) {
   EXPECT_EQ(hits, 1u);
   EXPECT_EQ(misses, 1u);
 
+  // The link table is repository-major over the registered sites:
+  // repo-east reaches both sites, repo-west only hpc-pentium.
+  const auto link_mbps = [](const CompiledApp& c) {
+    std::vector<double> out;
+    for (const sim::WanSpec* wan : c.links)
+      out.push_back(wan == nullptr ? 0.0 : wan->per_link_Bps * 8.0 / 1e6);
+    return out;
+  };
+  EXPECT_EQ(link_mbps(*first), (std::vector<double>{80, 20, 30, 0}));
+
   // A topology publish invalidates the compiled state.
   cat.register_compute_site({"late", sim::cluster_opteron_infiniband(), 4});
   const auto third = cache.resolve("em", cat.topology(), &hits, &misses);
@@ -347,6 +375,7 @@ TEST(ProfileCache, ResolveCompilesOncePerTopologyVersion) {
   EXPECT_NE(first.get(), third.get());
   EXPECT_EQ(misses, 2u);
   EXPECT_EQ(third->site_predictors.size(), 3u);
+  EXPECT_EQ(link_mbps(*third), (std::vector<double>{80, 20, 0, 30, 0, 0}));
 }
 
 TEST(ProfileCache, UnknownAppResolvesNull) {
@@ -591,13 +620,15 @@ struct BigFixture {
     }
   }
 
-  void register_apps(SelectionService& svc) const {
+  /// Registers em and kmeans on a SelectionService or a ProfileCache.
+  template <class Registrar>
+  void register_apps(Registrar& registrar) const {
     auto em_opts = synthetic_options();
     em_opts.classes.ro = core::RoSizeClass::LinearWithData;
-    svc.register_app(synthetic_profile("em", "pentium-myrinet"), em_opts,
-                     opteron_scalers());
-    svc.register_app(synthetic_profile("kmeans", "pentium-myrinet"),
-                     synthetic_options(), opteron_scalers());
+    registrar.register_app(synthetic_profile("em", "pentium-myrinet"),
+                           em_opts, opteron_scalers());
+    registrar.register_app(synthetic_profile("kmeans", "pentium-myrinet"),
+                           synthetic_options(), opteron_scalers());
   }
 };
 
@@ -656,6 +687,142 @@ TEST(SelectionService, DeterministicCountersAreByteIdenticalAcrossPools) {
   }
   EXPECT_EQ(snapshots[0], snapshots[1]);
   EXPECT_EQ(snapshots[0], snapshots[2]);
+}
+
+TEST(SelectionService, RankingMatchesLonghandEnumeration) {
+  // Each expected answer is built without the service: the catalog's
+  // enumeration over the same snapshots, predictors from a separate cache,
+  // a stable sort on (total, repository, site, storage nodes, compute
+  // nodes), and the first top_k.
+  const BigFixture fx;
+  SelectionService svc(&fx.catalog);
+  fx.register_apps(svc);
+  ProfileCache cache;
+  fx.register_apps(cache);
+  const auto topo = fx.catalog.topology();
+
+  struct Expected {
+    grid::Candidate candidate;
+    core::PredictedTime predicted;
+    double total = 0.0;
+    bool hetero = false;
+  };
+  for (const bool whole_ranking : {false, true}) {
+    std::vector<SelectionQuery> queries = fx.queries;
+    if (whole_ranking)
+      for (auto& q : queries) q.top_k = 1 << 20;
+    const auto results = svc.query_batch(queries);
+    ASSERT_EQ(results.size(), queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const SelectionQuery& q = queries[i];
+      const auto compiled = cache.resolve(q.app, topo);
+      ASSERT_NE(compiled, nullptr);
+      std::vector<Expected> expected;
+      for (const auto& candidate : ShardedCatalog::enumerate_candidates(
+               *topo, *fx.catalog.shard_for(q.dataset), q.dataset)) {
+        const auto* site = topo->find_compute(candidate.compute_site);
+        const SitePredictor& predictor =
+            compiled->site_predictors[static_cast<std::size_t>(
+                site - topo->compute_sites.data())];
+        if (!predictor.predictable()) continue;
+        core::ProfileConfig target;
+        target.data_nodes = candidate.replica.storage_nodes;
+        target.compute_nodes = candidate.compute_nodes;
+        target.dataset_bytes = q.dataset_bytes;
+        target.bandwidth_Bps = candidate.wan.per_link_Bps;
+        const core::PredictedTime predicted = predictor.predict(target);
+        expected.push_back({candidate, predicted, predicted.total(),
+                            predictor.uses_hetero_scaling()});
+      }
+      const std::string context =
+          "query " + std::to_string(i) + " top_k " + std::to_string(q.top_k);
+      ASSERT_FALSE(expected.empty()) << context;
+      ASSERT_TRUE(results[i].ok()) << context << ": " << results[i].error;
+      EXPECT_EQ(results[i].candidates_considered, expected.size()) << context;
+      std::stable_sort(
+          expected.begin(), expected.end(),
+          [](const Expected& a, const Expected& b) {
+            return std::tie(a.total, a.candidate.replica.repository,
+                            a.candidate.compute_site,
+                            a.candidate.replica.storage_nodes,
+                            a.candidate.compute_nodes) <
+                   std::tie(b.total, b.candidate.replica.repository,
+                            b.candidate.compute_site,
+                            b.candidate.replica.storage_nodes,
+                            b.candidate.compute_nodes);
+          });
+      expected.resize(std::min(expected.size(),
+                               static_cast<std::size_t>(q.top_k)));
+      const auto& ranked = results[i].ranked;
+      ASSERT_EQ(ranked.size(), expected.size()) << context;
+      for (std::size_t j = 0; j < ranked.size(); ++j) {
+        const auto& got = ranked[j];
+        const auto& want = expected[j];
+        EXPECT_TRUE(same_candidate(got.candidate, want.candidate))
+            << context << " rank " << j;
+        EXPECT_EQ(got.predicted.disk, want.predicted.disk) << context;
+        EXPECT_EQ(got.predicted.network, want.predicted.network) << context;
+        EXPECT_EQ(got.predicted.compute, want.predicted.compute) << context;
+        EXPECT_EQ(got.predicted.compute_local, want.predicted.compute_local)
+            << context;
+        EXPECT_EQ(got.predicted.ro_comm, want.predicted.ro_comm) << context;
+        EXPECT_EQ(got.predicted.global_red, want.predicted.global_red)
+            << context;
+        EXPECT_EQ(got.used_hetero_scaling, want.hetero) << context;
+      }
+    }
+  }
+}
+
+TEST(SelectionService, SitesAndLinksRegisteredBetweenBatchesAreRanked) {
+  ShardedCatalog cat(4);
+  populate(cat);
+  SelectionService svc(&cat);
+  svc.register_app(synthetic_profile("em", "pentium-myrinet"),
+                   synthetic_options(), opteron_scalers());
+  const std::vector<SelectionQuery> batch = {
+      {"em", "em-data", 700e6, 1 << 20}, {"em", "points", 300e6, 1 << 20}};
+  const auto has_pair = [](const SelectionResult& r, const std::string& repo,
+                           const std::string& site) {
+    return std::any_of(r.ranked.begin(), r.ranked.end(),
+                       [&](const RankedCandidate& rc) {
+                         return rc.candidate.replica.repository == repo &&
+                                rc.candidate.compute_site == site;
+                       });
+  };
+  const auto before = svc.query_batch(batch);
+  ASSERT_TRUE(before[0].ok()) << before[0].error;
+  EXPECT_FALSE(has_pair(before[0], "repo-west", "hpc-opteron"));
+
+  // A site appended after the cache compiled, a link to it, and a link
+  // for a pair that was unreachable.
+  cat.register_compute_site({"hpc-late", sim::cluster_pentium_myrinet(), 8});
+  cat.register_link("repo-west", "hpc-late", sim::wan_mbps(55));
+  cat.register_link("repo-west", "hpc-opteron", sim::wan_mbps(45));
+  const auto after = svc.query_batch(batch);
+  for (const auto& r : after) {
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_TRUE(has_pair(r, "repo-west", "hpc-late"));
+    EXPECT_TRUE(has_pair(r, "repo-west", "hpc-opteron"));
+    EXPECT_FALSE(has_pair(r, "repo-east", "hpc-late"));  // no link
+  }
+  EXPECT_GT(after[0].candidates_considered, before[0].candidates_considered);
+  // Every ranked pair is costed at its own link's bandwidth.
+  const auto topo = cat.topology();
+  for (const auto& r : after)
+    for (const auto& rc : r.ranked) {
+      const auto* wan = topo->find_link(rc.candidate.replica.repository,
+                                        rc.candidate.compute_site);
+      ASSERT_NE(wan, nullptr);
+      EXPECT_EQ(rc.candidate.wan.per_link_Bps, wan->per_link_Bps)
+          << rc.candidate.replica.repository << " -> "
+          << rc.candidate.compute_site;
+    }
+
+  SelectionService fresh(&cat);
+  fresh.register_app(synthetic_profile("em", "pentium-myrinet"),
+                     synthetic_options(), opteron_scalers());
+  expect_identical(after, fresh.query_batch(batch));
 }
 
 TEST(SelectionService, BatchLatencyHistogramLandsInHostDomain) {
@@ -860,6 +1027,9 @@ TEST(ProfileCache, ConcurrentResolveRacesTopologyPublishes) {
     // it was compiled against — even if that topology is already stale.
     ASSERT_EQ(compiled->site_predictors.size(),
               compiled->topology->compute_sites.size());
+    ASSERT_EQ(compiled->links.size(),
+              compiled->topology->repository_sites.size() *
+                  compiled->topology->compute_sites.size());
   });
   stop.store(true);
   writer.join();
