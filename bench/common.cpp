@@ -229,16 +229,6 @@ BenchApp streamed_copy(const BenchApp& app, std::size_t budget_bytes,
   return out;
 }
 
-BenchApp with_virtual_size(const BenchApp& app, double virtual_mb) {
-  BenchApp view = app;
-  const double scale =
-      virtual_mb * 1e6 /
-      static_cast<double>(app.dataset->total_real_bytes());
-  view.dataset = std::make_shared<repository::ChunkedDataset>(
-      app.dataset->with_uniform_virtual_scale(scale));
-  return view;
-}
-
 BenchApp make_apriori_app(double virtual_mb, std::uint64_t seed) {
   auto spec = datagen::default_market_baskets(30000, seed);
   spec.transactions_per_chunk = 30000 / 64;

@@ -60,13 +60,6 @@ BenchApp make_vortex_app(double virtual_mb, int grid, std::uint64_t seed);
 BenchApp make_defect_app(double virtual_mb, int nx, int ny, int nz,
                          std::uint64_t seed);
 
-/// An aliasing view of `app` at another virtual size: the view's dataset
-/// shares every payload slab with the original (zero payload bytes copied
-/// — DESIGN.md §13), so a size-scaling figure generates its dataset once
-/// and derives every scale point from it. Kernel factory and classes are
-/// shared with the original app.
-BenchApp with_virtual_size(const BenchApp& app, double virtual_mb);
-
 /// An out-of-core copy of `app`: the dataset is saved to a throwaway
 /// store under the system temp directory and reloaded with
 /// DatasetStore::load_streamed, so every exact run pulls payloads through

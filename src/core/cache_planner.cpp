@@ -64,10 +64,11 @@ std::optional<CachePlan> CachePlanner::plan_local_disk() const {
 
   CachePlan plan;
   plan.mode = freeride::CacheMode::LocalDisk;
-  plan.first_pass_s = repository_pass_s();
-  if (in_.charge_cache_write)
-    plan.first_pass_s += retrieval_s(in_.compute_cluster, in_.compute_nodes,
-                                     in_.dataset_bytes, in_.chunks);
+  // First pass: repository path plus the write to local disk.
+  plan.first_pass_s =
+      repository_pass_s() + retrieval_s(in_.compute_cluster,
+                                        in_.compute_nodes, in_.dataset_bytes,
+                                        in_.chunks);
   plan.later_pass_s = retrieval_s(in_.compute_cluster, in_.compute_nodes,
                                   in_.dataset_bytes, in_.chunks) +
                       in_.compute_time_per_pass_s;
@@ -83,10 +84,8 @@ CachePlan CachePlanner::plan_site(const freeride::CacheSiteSetup& site) const {
   plan.first_pass_s =
       repository_pass_s() +
       movement_s(site.wan_to_compute, in_.compute_cluster.machine, site.nodes,
-                 in_.dataset_bytes, in_.chunks);
-  if (in_.charge_cache_write)
-    plan.first_pass_s +=
-        retrieval_s(site.cluster, site.nodes, in_.dataset_bytes, in_.chunks);
+                 in_.dataset_bytes, in_.chunks) +
+      retrieval_s(site.cluster, site.nodes, in_.dataset_bytes, in_.chunks);
   // Later passes: read at the site, ship over the site's pipe.
   plan.later_pass_s =
       retrieval_s(site.cluster, site.nodes, in_.dataset_bytes, in_.chunks) +

@@ -45,7 +45,6 @@ struct CachePlannerInputs {
   sim::WanSpec wan;  ///< repository -> compute pipe
   double compute_time_per_pass_s = 0.0;
   double local_cache_capacity_bytes = 1e18;  ///< per compute node
-  bool charge_cache_write = true;
 };
 
 class CachePlanner {

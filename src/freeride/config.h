@@ -31,9 +31,6 @@ struct JobConfig {
   /// abl01_caching bench quantifies how caching breaks that assumption.
   bool enable_caching = false;
 
-  /// Also charge the local-disk write when populating the cache.
-  bool charge_cache_write = true;
-
   /// Per-compute-node cache storage, bytes (virtual). When a multi-pass
   /// job's per-node share exceeds it, local caching is impossible and the
   /// runtime falls back to a non-local cache site (if the JobSetup names
@@ -54,12 +51,6 @@ struct JobConfig {
 
   /// Safety cap on passes for iterative algorithms.
   int max_passes = 128;
-
-  /// Verify chunk checksums on receipt (the data-communication role): a
-  /// first-pass sweep over resident payloads. A streamed chunk is checked
-  /// on receipt regardless of this flag — its fetch verifies the stored
-  /// checksum — so the sweep skips it rather than fetching it twice.
-  bool verify_chunks = true;
 
   /// Throws util::ConfigError when the configuration violates the
   /// middleware's documented constraints (positive counts, c >= n — the

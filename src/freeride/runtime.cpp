@@ -207,7 +207,8 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
                                  v.virtual_bytes / bw);
       }
 
-      if (cfg.verify_chunks && result.passes == 0) {
+      if (result.passes == 0) {
+        // Verify chunk checksums on receipt (the data-communication role).
         // Checksums are independent per chunk, so the sweep fans out over
         // the host pool; parallel_for rethrows the lowest-index failure,
         // keeping the reported chunk deterministic. The sweep covers
@@ -265,7 +266,7 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
           for (std::size_t ci : dest_part.chunks_of(j))
             caches.insert(j, ds.chunk(ci));
           const auto& v = dest_vol[static_cast<std::size_t>(j)];
-          if (cfg.charge_cache_write && v.chunks > 0)
+          if (v.chunks > 0)
             cache_tw = std::max(cache_tw, compute_machine.disk.access_time(
                                               v.virtual_bytes, v.chunks));
         }
@@ -283,12 +284,11 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
                                               v.virtual_bytes, v.chunks,
                                               cache_nodes,
                                               compute_machine.nic.bandwidth_Bps));
-          if (cfg.charge_cache_write)
-            cache_tw = std::max(cache_tw,
-                                site.cluster.machine.disk.startup_s +
-                                    static_cast<double>(v.chunks) *
-                                        site.cluster.machine.disk.seek_s +
-                                    v.virtual_bytes / write_bw);
+          cache_tw = std::max(cache_tw,
+                              site.cluster.machine.disk.startup_s +
+                                  static_cast<double>(v.chunks) *
+                                      site.cluster.machine.disk.seek_s +
+                                  v.virtual_bytes / write_bw);
         }
         caches.mark_warm();
       }

@@ -104,10 +104,10 @@ class Runtime {
 
   /// Runs `kernel` over `setup`. Throws util::ConfigError for invalid
   /// configurations or cluster/WAN/cache-site specs, and util::Error for
-  /// corrupted chunks: resident ones when config.verify_chunks is set,
-  /// streamed ones always (util::SerializationError from the fetch that
-  /// hands the chunk to the kernel, DESIGN.md §15). Every pool task run()
-  /// starts has finished when it returns or throws.
+  /// corrupted chunks: resident ones from the first pass's checksum
+  /// sweep, streamed ones from the fetch that hands the chunk to the
+  /// kernel (util::SerializationError, DESIGN.md §15). Every pool task
+  /// run() starts has finished when it returns or throws.
   RunResult run(const JobSetup& setup, ReductionKernel& kernel) const;
 
  private:

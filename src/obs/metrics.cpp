@@ -100,17 +100,6 @@ double Registry::host_value(std::string_view name) const {
   return it == host_.end() ? 0.0 : it->second.value;
 }
 
-std::vector<std::pair<std::string, double>> Registry::scalar_values(
-    Domain domain) const {
-  std::lock_guard lock(mu_);
-  const auto& m = domain == Domain::Deterministic ? det_ : host_;
-  std::vector<std::pair<std::string, double>> out;
-  out.reserve(m.size());
-  for (const auto& [name, metric] : m)
-    if (metric.kind != Kind::Hist) out.emplace_back(name, metric.value);
-  return out;
-}
-
 std::string Registry::to_json(bool include_host) const {
   std::lock_guard lock(mu_);
   std::ostringstream os;

@@ -24,8 +24,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 namespace fgp::obs {
 
@@ -103,11 +101,6 @@ class Registry {
 
   /// Same read-back for the host domain (0 when absent).
   double host_value(std::string_view name) const;
-
-  /// All counter/gauge values of one domain as (name, value) pairs,
-  /// sorted by name (histograms are skipped) — the SnapshotRing feed.
-  std::vector<std::pair<std::string, double>> scalar_values(
-      Domain domain) const;
 
   /// Snapshot as canonical JSON (schema "fgpred-metrics-v1"): metrics
   /// sorted by name within each domain; `include_host` = false drops the

@@ -66,24 +66,6 @@ void TraceRecorder::detail(std::string_view category, std::string_view name,
   push(std::move(e));
 }
 
-void TraceRecorder::counter(std::string_view category, std::string_view name,
-                            int node, double time_s, double value) {
-  FGP_CHECK_MSG(time_s >= 0.0, "trace counter '" << std::string(name)
-                                                 << "' has a negative time");
-  FGP_CHECK_MSG(std::isfinite(value), "trace counter '" << std::string(name)
-                                                        << "' is not finite");
-  Event e;
-  e.kind = Kind::Counter;
-  e.category = std::string(category);
-  e.name = std::string(name);
-  e.node = node;
-  e.pass = -1;
-  e.begin_ns = to_ns(time_s);
-  e.end_ns = e.begin_ns;
-  e.value = value;
-  push(std::move(e));
-}
-
 void TraceRecorder::host_span(std::string_view category, std::string_view name,
                               double begin_s, double end_s) {
   if (!host_enabled_) return;
@@ -142,9 +124,7 @@ std::string TraceRecorder::to_chrome_json(bool include_host) const {
       k.name = e.category;
     } else {
       k.pid = e.node == kJobNode ? 0 : e.node + 1;
-      k.name = e.kind == Kind::Detail     ? e.category + "/detail"
-               : e.kind == Kind::Counter  ? e.category + "/counter"
-                                          : e.category;
+      k.name = e.kind == Kind::Detail ? e.category + "/detail" : e.category;
     }
     return k;
   };
@@ -208,10 +188,8 @@ std::string TraceRecorder::to_chrome_json(bool include_host) const {
     const std::string head = "\"pid\": " + std::to_string(pid) +
                              ", \"tid\": " + std::to_string(tid);
 
-    const bool counter_events =
-        !list.empty() && list.front()->kind == Kind::Counter;
-    const bool complete_events = !counter_events && !list.empty() &&
-                                 list.front()->kind != Kind::Span;
+    const bool complete_events =
+        !list.empty() && list.front()->kind != Kind::Span;
     // Canonical in-track order: outer spans before inner at equal begins.
     std::sort(list.begin(), list.end(), [](const Event* a, const Event* b) {
       return std::tie(a->begin_ns, b->end_ns, a->name, a->pass) <
@@ -226,19 +204,6 @@ std::string TraceRecorder::to_chrome_json(bool include_host) const {
       prev_ts = out;
       return out;
     };
-
-    if (counter_events) {
-      // Counter samples: Chrome "C" events; the args key names the series.
-      for (const Event* e : list) {
-        emit("{\"ph\": \"C\", " + head + ", \"ts\": " +
-             ns_to_us(bump(e->begin_ns)) + ", \"name\": \"" +
-             json::escape(e->name) + "\", \"cat\": \"" +
-             json::escape(e->category) + "\", \"args\": {\"" +
-             json::escape(e->name) + "\": " + json::format_number(e->value) +
-             "}}");
-      }
-      continue;
-    }
 
     if (complete_events) {
       // Detail/host spans: Chrome "X" complete events.

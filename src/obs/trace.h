@@ -59,15 +59,6 @@ class TraceRecorder {
   void detail(std::string_view category, std::string_view name, int node,
               int pass, double begin_s, double end_s);
 
-  /// Records a virtual-time counter sample (e.g. the event engine's queue
-  /// depth), exported as a Chrome "C" event on the `<category>/counter`
-  /// track of its node. Samples on one track must arrive with
-  /// non-decreasing timestamps; the exporter applies the same 1 ns
-  /// tie-break as spans so the per-track strictly-increasing invariant
-  /// holds. Deterministic domain: same byte-identity contract as span().
-  void counter(std::string_view category, std::string_view name, int node,
-               double time_s, double value);
-
   /// Records a host wall-clock span (seconds relative to host_now()'s
   /// epoch). Dropped unless enable_host(true).
   void host_span(std::string_view category, std::string_view name,
@@ -86,7 +77,7 @@ class TraceRecorder {
   std::string to_chrome_json(bool include_host = true) const;
 
  private:
-  enum class Kind { Span, Detail, Counter, Host };
+  enum class Kind { Span, Detail, Host };
   struct Event {
     Kind kind = Kind::Span;
     std::string category;
@@ -95,7 +86,6 @@ class TraceRecorder {
     int pass = -1;
     long long begin_ns = 0;
     long long end_ns = 0;
-    double value = 0.0;  ///< Counter events only
   };
 
   void push(Event e);

@@ -82,7 +82,6 @@ const char* to_string(ReportKind kind) {
     case ReportKind::Residuals: return "residuals";
     case ReportKind::Slowlog: return "slowlog";
     case ReportKind::Drift: return "drift";
-    case ReportKind::Snapshots: return "snapshots";
     case ReportKind::Unknown: break;
   }
   return "unknown";
@@ -349,63 +348,6 @@ ValidationResult validate_drift(const json::Value& doc) {
   return r;
 }
 
-ValidationResult validate_snapshots(const json::Value& doc) {
-  ValidationResult r;
-  r.kind = ReportKind::Snapshots;
-  const json::Value* capacity = doc.find("capacity");
-  if (!finite_number(capacity) || capacity->as_number() < 1.0)
-    err(r, "missing \"capacity\" (must be >= 1)");
-  const json::Value* captured = doc.find("captured");
-  if (!finite_number(captured) || captured->as_number() < 0.0)
-    err(r, "missing or negative \"captured\"");
-  const json::Value* snapshots = doc.find("snapshots");
-  if (snapshots == nullptr || !snapshots->is_array()) {
-    err(r, "document has no \"snapshots\" array");
-    return r;
-  }
-  const auto& list = snapshots->as_array();
-  if (finite_number(capacity) &&
-      static_cast<double>(list.size()) > capacity->as_number())
-    err(r, "more snapshots than \"capacity\"");
-  const auto check_scalars = [&r](const json::Value* scalars,
-                                  const std::string& at) {
-    if (scalars == nullptr) return;
-    if (!scalars->is_object()) {
-      err(r, at + " is not an object");
-      return;
-    }
-    for (const auto& [name, v] : scalars->as_object())
-      if (!v.is_number() || !std::isfinite(v.as_number()))
-        err(r, at + "." + name + ": value is not a finite number");
-  };
-  double last_seq = -1.0;
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    const std::string at = "snapshots[" + std::to_string(i) + "]";
-    const json::Value& s = list[i];
-    if (!s.is_object()) {
-      err(r, at + ": snapshot is not an object");
-      continue;
-    }
-    const json::Value* seq = s.find("seq");
-    if (!finite_number(seq) || seq->as_number() < 0.0) {
-      err(r, at + ": missing or negative \"seq\"");
-    } else {
-      if (seq->as_number() <= last_seq)
-        err(r, at + ": \"seq\" not strictly increasing");
-      last_seq = seq->as_number();
-    }
-    const json::Value* host_seconds = s.find("host_seconds");
-    if (host_seconds != nullptr &&  // stripped in byte-comparison mode
-        (!finite_number(host_seconds) || host_seconds->as_number() < 0.0))
-      err(r, at + ": \"host_seconds\" is not a non-negative number");
-    if (s.find("deterministic") == nullptr)
-      err(r, at + ": missing \"deterministic\" scalars");
-    check_scalars(s.find("deterministic"), at + ".deterministic");
-    check_scalars(s.find("host"), at + ".host");
-  }
-  return r;
-}
-
 ValidationResult validate_report(const json::Value& doc) {
   const json::Value* schema = doc.is_object() ? doc.find("schema") : nullptr;
   if (schema == nullptr || !schema->is_string()) {
@@ -419,7 +361,6 @@ ValidationResult validate_report(const json::Value& doc) {
   if (s == "fgpred-residuals-v1") return validate_residuals(doc);
   if (s == "fgpred-slowlog-v1") return validate_slowlog(doc);
   if (s == "fgpred-drift-v1") return validate_drift(doc);
-  if (s == "fgpred-snapshots-v1") return validate_snapshots(doc);
   ValidationResult r;
   err(r, "unknown schema '" + s + "'");
   return r;

@@ -24,7 +24,6 @@ enum class ReportKind {
   Residuals,
   Slowlog,
   Drift,
-  Snapshots,
 };
 
 struct ValidationResult {
@@ -49,6 +48,5 @@ ValidationResult validate_metrics(const json::Value& doc);
 ValidationResult validate_residuals(const json::Value& doc);
 ValidationResult validate_slowlog(const json::Value& doc);
 ValidationResult validate_drift(const json::Value& doc);
-ValidationResult validate_snapshots(const json::Value& doc);
 
 }  // namespace fgp::obs

@@ -57,12 +57,6 @@ void Chunk::set_virtual_scale(double virtual_scale) {
   virtual_bytes_ = static_cast<double>(real_bytes()) * virtual_scale_;
 }
 
-Chunk Chunk::with_virtual_scale(double virtual_scale) const {
-  Chunk view = *this;  // handle copy: the payload slab is shared
-  view.set_virtual_scale(virtual_scale);
-  return view;
-}
-
 bool Chunk::verify() const {
   const auto bytes = payload();
   return checksum_ == util::xxh64(bytes.data(), bytes.size());

@@ -96,10 +96,6 @@ class Chunk {
   /// to the requested virtual size instead of generating twice.
   void set_virtual_scale(double virtual_scale);
 
-  /// Aliasing view of this chunk at another virtual scale: shares the
-  /// payload slab and checksum, copies only the handle and metadata.
-  Chunk with_virtual_scale(double virtual_scale) const;
-
   /// Recomputes the XXH64 checksum and compares to the stored one.
   bool verify() const;
 

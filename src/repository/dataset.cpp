@@ -1,7 +1,5 @@
 #include "repository/dataset.h"
 
-#include "obs/metrics.h"
-
 namespace fgp::repository {
 
 void ChunkedDataset::add_chunk(Chunk c) {
@@ -16,21 +14,6 @@ void ChunkedDataset::set_uniform_virtual_scale(double virtual_scale) {
     c.set_virtual_scale(virtual_scale);
     total_virtual_bytes_ += c.virtual_bytes();
   }
-}
-
-ChunkedDataset ChunkedDataset::with_uniform_virtual_scale(
-    double virtual_scale, obs::Registry* metrics) const {
-  ChunkedDataset view(meta_);
-  for (const auto& c : chunks_)
-    view.add_chunk(c.with_virtual_scale(virtual_scale));
-  // A view of a streamed dataset streams from the same source (and shares
-  // its window pool/budget); materialize() rebinds fetched chunks to the
-  // view's scale.
-  view.source_ = source_;
-  if (metrics != nullptr)
-    metrics->add("payload.shared_views",
-                 static_cast<double>(chunks_.size()));
-  return view;
 }
 
 bool ChunkedDataset::verify_all() const {
@@ -48,8 +31,9 @@ Chunk ChunkedDataset::materialize(std::size_t i) const {
   const Chunk& c = chunks_.at(i);
   if (c.loaded() || source_ == nullptr) return c;
   Chunk fetched = source_->fetch(i);
-  // Rescaled views keep metadata at the view's scale; the source serves
-  // the stored scale, so rebind (metadata-only — payload untouched).
+  // A dataset rescaled in place keeps its metadata at the new scale; the
+  // source serves the stored scale, so rebind (metadata-only — payload
+  // untouched).
   if (fetched.virtual_scale() != c.virtual_scale())
     fetched.set_virtual_scale(c.virtual_scale());
   return fetched;

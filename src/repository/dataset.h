@@ -7,10 +7,6 @@
 
 #include "repository/chunk.h"
 
-namespace fgp::obs {
-class Registry;
-}  // namespace fgp::obs
-
 namespace fgp::repository {
 
 /// Metadata travelling with a dataset (and recorded into profiles: the
@@ -27,7 +23,7 @@ struct DatasetMeta {
 /// fetches from pool workers concurrently — and must verify the fetched
 /// bytes against the stored checksum (throwing util::SerializationError on
 /// mismatch): that fetch is the only check a streamed chunk gets before a
-/// kernel reads it (Runtime::run's verify_chunks sweep and verify_all()
+/// kernel reads it (Runtime::run's first-pass checksum sweep and verify_all()
 /// skip unloaded chunks), so a materialized chunk is as trustworthy as a
 /// loaded one.
 class ChunkSource {
@@ -68,23 +64,13 @@ class ChunkedDataset {
   /// generating twice (the probe-then-rescale pattern in bench/common.cpp).
   void set_uniform_virtual_scale(double virtual_scale);
 
-  /// Aliasing *view* of this dataset with every chunk rebound to
-  /// `virtual_scale`: chunk handles are copied, payload slabs are shared
-  /// (zero bytes moved), so concurrent sweep points over many scales all
-  /// read one generated dataset (DESIGN.md §13). `metrics` (optional)
-  /// receives the deterministic counter payload.shared_views — one
-  /// increment per chunk view created.
-  ChunkedDataset with_uniform_virtual_scale(
-      double virtual_scale, obs::Registry* metrics = nullptr) const;
-
   /// True when every chunk's checksum verifies. An unloaded streamed chunk
   /// is fetched once and hashed once: the fetch itself verifies it and
   /// throws util::SerializationError on corruption.
   bool verify_all() const;
 
   /// Attaches the lazy payload source the metadata_only chunks of a
-  /// streamed dataset resolve through. Views made by
-  /// with_uniform_virtual_scale share the source (and its window pool).
+  /// streamed dataset resolve through.
   void attach_source(std::shared_ptr<const ChunkSource> source) {
     source_ = std::move(source);
   }
@@ -95,10 +81,11 @@ class ChunkedDataset {
   /// Chunk `i` with its payload guaranteed resident: loaded chunks (and
   /// datasets without a source) come back as plain handle copies; unloaded
   /// streamed chunks are fetched through the source and rebound to this
-  /// dataset's virtual scale for `i` (so rescaled views materialize at the
-  /// view's scale, not the stored one). The returned handle owns the bytes
-  /// for its lifetime — dropping it releases them, which is what keeps a
-  /// streamed pass's resident set flat (DESIGN.md §15).
+  /// dataset's virtual scale for `i` (so a dataset rescaled in place by
+  /// set_uniform_virtual_scale materializes at its new scale, not the
+  /// stored one). The returned handle owns the bytes for its lifetime —
+  /// dropping it releases them, which is what keeps a streamed pass's
+  /// resident set flat (DESIGN.md §15).
   Chunk materialize(std::size_t i) const;
 
  private:

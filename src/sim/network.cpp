@@ -36,20 +36,6 @@ double WanSpec::transfer_time(double bytes, std::uint64_t messages, int senders,
   return static_cast<double>(messages) * latency_s + bytes / bw;
 }
 
-double metered_transfer_time(const WanSpec& wan, obs::Registry* metrics,
-                             std::string_view pipe, double bytes,
-                             std::uint64_t messages, int senders,
-                             double sender_nic_Bps) {
-  const double t = wan.transfer_time(bytes, messages, senders, sender_nic_Bps);
-  if (metrics != nullptr) {
-    const std::string base = "wan." + std::string(pipe);
-    metrics->add(base + ".bytes", bytes);
-    metrics->add(base + ".messages", static_cast<double>(messages));
-    metrics->add(base + ".transfers", 1.0);
-  }
-  return t;
-}
-
 WanMeter::WanMeter(obs::Registry* metrics, std::string_view pipe)
     : registry_(metrics), base_("wan." + std::string(pipe)) {}
 

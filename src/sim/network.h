@@ -45,31 +45,16 @@ struct WanSpec {
   void validate() const;
 };
 
-/// transfer_time plus metric accounting. When `metrics` is non-null, bumps
-/// the deterministic counters
+/// WanSpec::transfer_time plus metric accounting for one logical WAN pipe
+/// (`pipe` names the link, e.g. "repo-compute" or "cache-compute"). Each
+/// transfer bumps the deterministic counters
 ///   wan.<pipe>.bytes / wan.<pipe>.messages / wan.<pipe>.transfers
-/// (`pipe` names the logical link, e.g. "repo-compute" or "cache-compute").
-/// Byte/message counts are integral, so concurrent recording stays exact;
-/// with a null registry this is exactly WanSpec::transfer_time.
-///
-/// Each call materializes three metric names and walks the registry map
-/// three times. Fine for a one-off; inside a per-node phase loop use a
-/// WanMeter, which resolves the handles once.
-double metered_transfer_time(const WanSpec& wan, obs::Registry* metrics,
-                             std::string_view pipe, double bytes,
-                             std::uint64_t messages, int senders,
-                             double sender_nic_Bps);
-
-/// Cached counter handles for one logical WAN pipe — the flat replacement
-/// for metered_transfer_time's per-call string building and associative
-/// lookups (three concats + three O(log n) map walks per node per phase,
-/// which dominates the accounting cost at 1,000+ nodes). Handles resolve
-/// on the first transfer(), so a pipe that never moves a byte never
-/// creates its metrics, and afterwards every call is a lock plus one
-/// accumulation per counter. Records the same counters in the same order
-/// with the same values as metered_transfer_time, so metric exports are
-/// byte-identical. Not safe to share one meter across threads (the
-/// runtime meters from its master thread only).
+/// Byte/message counts are integral, so the totals are exact in any order.
+/// The counter handles resolve on the first transfer(), so a pipe that
+/// never moves a byte never creates its metrics, and afterwards every call
+/// is a lock plus one accumulation per counter — no name building or map
+/// walk per node per phase. Not safe to share one meter across threads
+/// (the runtime meters from its master thread only).
 class WanMeter {
  public:
   /// A disconnected meter: transfer() is exactly WanSpec::transfer_time.

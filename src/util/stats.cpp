@@ -41,51 +41,9 @@ double Accumulator::stdev() const {
   return var > 0.0 ? std::sqrt(var) : 0.0;
 }
 
-double mean(std::span<const double> xs) {
-  Accumulator a;
-  for (double x : xs) a.add(x);
-  return a.mean();
-}
-
-double stdev(std::span<const double> xs) {
-  Accumulator a;
-  for (double x : xs) a.add(x);
-  return a.stdev();
-}
-
-double max_value(std::span<const double> xs) {
-  Accumulator a;
-  for (double x : xs) a.add(x);
-  return a.max();
-}
-
 double relative_error(double exact, double predicted) {
   FGP_CHECK_MSG(exact > 0.0, "relative_error requires exact > 0");
   return std::abs(exact - predicted) / exact;
-}
-
-LinearFit fit_line(std::span<const double> xs, std::span<const double> ys) {
-  FGP_CHECK(xs.size() == ys.size());
-  FGP_CHECK_MSG(xs.size() >= 2, "fit_line needs at least two points");
-  const auto n = static_cast<double>(xs.size());
-  double sx = 0, sy = 0, sxx = 0, sxy = 0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    sx += xs[i];
-    sy += ys[i];
-    sxx += xs[i] * xs[i];
-    sxy += xs[i] * ys[i];
-  }
-  const double denom = n * sxx - sx * sx;
-  LinearFit fit;
-  if (std::abs(denom) < 1e-12) {
-    // Degenerate (all x equal): horizontal line through the mean.
-    fit.slope = 0.0;
-    fit.intercept = sy / n;
-  } else {
-    fit.slope = (n * sxy - sx * sy) / denom;
-    fit.intercept = (sy - fit.slope * sx) / n;
-  }
-  return fit;
 }
 
 }  // namespace fgp::util

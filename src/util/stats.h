@@ -3,8 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
-#include <vector>
 
 namespace fgp::util {
 
@@ -27,20 +25,8 @@ class Accumulator {
   double max_ = 0.0;
 };
 
-double mean(std::span<const double> xs);
-double stdev(std::span<const double> xs);
-double max_value(std::span<const double> xs);
-
 /// The paper's error metric: E = |exact - predicted| / exact.
 /// Precondition: exact > 0.
 double relative_error(double exact, double predicted);
-
-/// Simple least-squares fit of y = a + b*x. Returns {a, b}.
-/// Used by class auto-detection (log-space exponent fitting).
-struct LinearFit {
-  double intercept = 0.0;
-  double slope = 0.0;
-};
-LinearFit fit_line(std::span<const double> xs, std::span<const double> ys);
 
 }  // namespace fgp::util

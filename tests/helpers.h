@@ -150,7 +150,6 @@ inline freeride::JobSetup ideal_setup(const repository::ChunkedDataset* ds,
   setup.wan = sim::wan_ideal(100.0);
   setup.config.data_nodes = data_nodes;
   setup.config.compute_nodes = compute_nodes;
-  setup.config.verify_chunks = false;
   return setup;
 }
 

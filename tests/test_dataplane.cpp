@@ -1,16 +1,14 @@
-// test_dataplane.cpp — the zero-copy data plane's bit-identity contract
-// (DESIGN.md §13): a size-scaling figure driven by aliasing dataset views
-// (bench::with_virtual_size) is byte-identical — serialized residual
-// reports, deterministic traces and metrics alike — to the same figure
-// driven by a deep-copied control dataset, at sweep pool sizes 1, 2 and 8.
-// Sharing payload slabs between grid points must never change a single
-// output bit.
+// test_dataplane.cpp — the out-of-core data plane's bit-identity contract
+// (DESIGN.md §15): a size-scaling figure whose datasets stream through
+// budget-bounded mmap windows (bench::streamed_copy) is byte-identical —
+// serialized residual reports, deterministic traces and metrics alike —
+// to the same figure run in memory, serially and at sweep pool sizes 1, 2
+// and 8. Window mapping and recycling must never change a single output
+// bit.
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "common.h"
 #include "obs/metrics.h"
@@ -20,22 +18,6 @@
 
 namespace fgp::bench {
 namespace {
-
-/// A control app whose dataset holds freshly allocated copies of every
-/// payload (same ids, scales and bytes — different slabs). This is the
-/// pre-zero-copy behaviour the aliasing views replaced.
-BenchApp deep_copy_control(const BenchApp& app) {
-  auto ds = std::make_shared<repository::ChunkedDataset>(app.dataset->meta());
-  for (const auto& c : app.dataset->chunks()) {
-    const auto bytes = c.payload();
-    ds->add_chunk(repository::Chunk(
-        c.id(), std::vector<std::uint8_t>(bytes.begin(), bytes.end()),
-        c.virtual_scale()));
-  }
-  BenchApp copy = app;
-  copy.dataset = std::move(ds);
-  return copy;
-}
 
 /// Every deterministic artifact a fig07-style run produces, flattened to
 /// strings so equality means bit-identity.
@@ -71,52 +53,17 @@ FigureArtifacts run_figure(const BenchApp& profile_app,
           metrics.to_json(false)};
 }
 
-TEST(DataPlane, SharedViewSweepBitIdenticalToDeepCopyAcrossPools) {
-  const BenchApp target = make_em_app(80.0, 1.0, 42, 2);
-  const BenchApp view_profile = with_virtual_size(target, 20.0);
-  const BenchApp copy_profile = deep_copy_control(view_profile);
-
-  // Preconditions: the view aliases the target's slabs, the control does
-  // not, and both present identical chunk bytes and virtual sizes.
-  ASSERT_EQ(view_profile.dataset->chunk_count(), target.dataset->chunk_count());
-  for (std::size_t i = 0; i < target.dataset->chunk_count(); ++i) {
-    ASSERT_EQ(view_profile.dataset->chunk(i).payload().data(),
-              target.dataset->chunk(i).payload().data());
-    ASSERT_NE(copy_profile.dataset->chunk(i).payload().data(),
-              target.dataset->chunk(i).payload().data());
-    ASSERT_EQ(view_profile.dataset->chunk(i).checksum(),
-              copy_profile.dataset->chunk(i).checksum());
-  }
-  ASSERT_DOUBLE_EQ(view_profile.dataset->total_virtual_bytes(), 20.0 * 1e6);
-
-  // Serial deep-copy run is the reference; every pool size and either
-  // data-plane strategy must reproduce it bit for bit.
-  const FigureArtifacts reference =
-      run_figure(copy_profile, target, nullptr);
-  EXPECT_FALSE(reference.residuals_json.empty());
-  for (const std::size_t n : {1, 2, 8}) {
-    util::ThreadPool pool(n);
-    EXPECT_TRUE(reference == run_figure(copy_profile, target, &pool))
-        << "deep-copy control, pool of " << n;
-    EXPECT_TRUE(reference == run_figure(view_profile, target, &pool))
-        << "shared-view profile, pool of " << n;
-  }
-  EXPECT_TRUE(reference == run_figure(view_profile, target, nullptr))
-      << "shared-view profile, serial";
-}
-
 TEST(DataPlane, StreamedSweepBitIdenticalToInMemoryAcrossPools) {
   // The out-of-core plane (DESIGN.md §15): the same fig07-style figure
   // driven through budget-bounded mmap windows must reproduce the
   // in-memory artifacts bit for bit at pools 1, 2 and 8 — window mapping
   // and recycling only move host wall-clock time.
   const BenchApp target = make_em_app(80.0, 1.0, 42, 2);
-  const BenchApp profile = with_virtual_size(target, 20.0);
+  const BenchApp profile = make_em_app(20.0, 0.25, 42, 2);
   // A deliberately tight budget, so the sweep recycles windows constantly
   // while it runs.
   const BenchApp streamed_target = streamed_copy(target, 1u << 20);
-  const BenchApp streamed_profile =
-      with_virtual_size(streamed_target, 20.0);
+  const BenchApp streamed_profile = streamed_copy(profile, 1u << 20);
   ASSERT_TRUE(streamed_target.dataset->streamed());
   ASSERT_TRUE(streamed_profile.dataset->streamed());
 
@@ -156,17 +103,6 @@ TEST(DataPlane, NoPoolTaskOutlivesRun) {
     // registry/window pool instead of these no-ops.
     for (int i = 0; i < 32; ++i) pool.parallel_for(2, [](std::size_t) {});
   }
-}
-
-TEST(DataPlane, WithVirtualSizeRescalesWithoutTouchingTheOriginal) {
-  const BenchApp app = make_kmeans_app(40.0, 1.0, 7, 2);
-  const double before = app.dataset->total_virtual_bytes();
-  const BenchApp half = with_virtual_size(app, 20.0);
-  EXPECT_DOUBLE_EQ(half.dataset->total_virtual_bytes(), 20.0 * 1e6);
-  EXPECT_DOUBLE_EQ(app.dataset->total_virtual_bytes(), before);
-  // Kernel factory and classes ride along unchanged.
-  EXPECT_EQ(half.name, app.name);
-  ASSERT_TRUE(half.factory != nullptr);
 }
 
 }  // namespace

@@ -130,32 +130,6 @@ TEST(FgpcheckFloatAccumulation, RuleOnlyAppliesToAppsKernels) {
 }
 
 // ---------------------------------------------------------------------------
-// event-order
-
-TEST(FgpcheckEventOrder, PositiveFixtureFlagsNonCanonicalOrdering) {
-  const auto fa =
-      analyze_fixture("event_order_pos.cpp", "src/sim/fixture.cpp");
-  const RL expected = {{"event-order", 21},
-                       {"event-order", 26},
-                       {"event-order", 31}};
-  EXPECT_EQ(rule_lines(fa.findings), expected);
-}
-
-TEST(FgpcheckEventOrder, NegativeFixtureIsClean) {
-  const auto fa =
-      analyze_fixture("event_order_neg.cpp", "src/sim/fixture.cpp");
-  EXPECT_EQ(rule_lines(fa.findings), RL{});
-}
-
-TEST(FgpcheckEventOrder, RuleOnlyAppliesToSim) {
-  // The canonical comparators live in src/sim; other layers ordering
-  // their own data are not the event engine's business.
-  const auto fa =
-      analyze_fixture("event_order_pos.cpp", "src/grid/fixture.cpp");
-  EXPECT_EQ(rule_lines(fa.findings), RL{});
-}
-
-// ---------------------------------------------------------------------------
 // layering
 
 TEST(FgpcheckLayering, UpwardIncludesFromUtilAreFlagged) {

@@ -25,7 +25,6 @@
 #include "obs/pool.h"
 #include "obs/residual.h"
 #include "obs/slowlog.h"
-#include "obs/snapshot_ring.h"
 #include "obs/trace.h"
 #include "obs/validate.h"
 #include "repository/payload.h"
@@ -326,16 +325,6 @@ TEST(Obs, StreamedRuntimeKeepsDeterministicExportsByteIdentical) {
   EXPECT_EQ(metrics.to_json(false), reference.metrics_json);
   EXPECT_EQ(result.timing.elapsed, reference.result.timing.elapsed);
   std::filesystem::remove_all(root);
-}
-
-TEST(Obs, SharedViewCounterCountsEveryChunk) {
-  repository::ChunkedDataset ds(repository::DatasetMeta{"views", "f64", 1});
-  ds.add_chunk(repository::make_chunk<double>(0, {1, 2}, 1.0));
-  ds.add_chunk(repository::make_chunk<double>(1, {3, 4}, 1.0));
-  obs::Registry metrics;
-  const auto view = ds.with_uniform_virtual_scale(5.0, &metrics);
-  EXPECT_DOUBLE_EQ(metrics.value("payload.shared_views"), 2.0);
-  EXPECT_DOUBLE_EQ(view.total_virtual_bytes(), 5.0 * 32.0);
 }
 
 TEST(Obs, TraceRecorderRejectsOutOfOrderSpans) {
@@ -680,45 +669,6 @@ TEST(Obs, DriftMonitorWindowStatsAndConfigValidation) {
                util::ConfigError);
   EXPECT_THROW(obs::DriftMonitor(obs::DriftConfig{0.2, 64, -1.0}),
                util::ConfigError);
-}
-
-// --- snapshot ring --------------------------------------------------------
-
-TEST(Obs, SnapshotRingCapturesRatesAndStripsHost) {
-  obs::Registry reg;
-  obs::SnapshotRing ring(2);
-  reg.add("service.queries", 100.0);
-  reg.add("host.io", 1.0, obs::Domain::Host);
-  ring.capture(reg, 1.0);
-  reg.add("service.queries", 150.0);
-  ring.capture(reg, 2.0);
-  reg.add("service.queries", 50.0);
-  ring.capture(reg, 3.0);  // evicts seq 0 (capacity 2)
-
-  EXPECT_EQ(ring.captured(), 3u);
-  const auto snaps = ring.snapshots();
-  ASSERT_EQ(snaps.size(), 2u);
-  EXPECT_EQ(snaps[0].seq, 1u);
-  EXPECT_EQ(snaps[1].seq, 2u);
-  ASSERT_EQ(snaps[1].deterministic.size(), 1u);
-  EXPECT_EQ(snaps[1].deterministic[0].first, "service.queries");
-  EXPECT_DOUBLE_EQ(snaps[1].deterministic[0].second, 300.0);
-  ASSERT_EQ(snaps[1].host.size(), 1u);
-  EXPECT_EQ(snaps[1].host[0].first, "host.io");
-
-  const std::string with_host = ring.to_json(true);
-  const std::string without = ring.to_json(false);
-  for (const std::string& text : {with_host, without}) {
-    const auto v = obs::validate_report_text(text);
-    EXPECT_EQ(v.kind, obs::ReportKind::Snapshots);
-    EXPECT_TRUE(v.ok()) << (v.errors.empty() ? "" : v.errors.front());
-  }
-  EXPECT_NE(with_host.find("host_seconds"), std::string::npos);
-  EXPECT_EQ(without.find("host_seconds"), std::string::npos);
-  EXPECT_NE(with_host.find("host.io"), std::string::npos);
-  EXPECT_EQ(without.find("host.io"), std::string::npos);
-  ring.clear();
-  EXPECT_EQ(ring.captured(), 0u);
 }
 
 }  // namespace

@@ -85,19 +85,14 @@ TEST(Chunk, NonPositiveScaleThrows) {
   EXPECT_THROW(Chunk(0, std::vector<std::uint8_t>{}, -1.0), util::Error);
 }
 
-TEST(Chunk, CopyAndScaleViewsShareThePayloadSlab) {
+TEST(Chunk, CopiesShareThePayloadSlab) {
   const Chunk c = make_chunk<double>(4, {1, 2, 3}, 1.0);
   const Chunk copy = c;
-  const Chunk view = c.with_virtual_scale(8.0);
-  // Handles, not bytes: every view aliases the same immutable slab.
+  // Handles, not bytes: a copy aliases the same immutable slab.
   EXPECT_EQ(copy.payload().data(), c.payload().data());
-  EXPECT_EQ(view.payload().data(), c.payload().data());
-  EXPECT_EQ(view.payload_buffer().get(), c.payload_buffer().get());
-  EXPECT_EQ(view.checksum(), c.checksum());
-  EXPECT_DOUBLE_EQ(view.virtual_bytes(), 8.0 * 24.0);
-  // The original's metadata is untouched by the view.
-  EXPECT_DOUBLE_EQ(c.virtual_scale(), 1.0);
-  EXPECT_TRUE(view.verify());
+  EXPECT_EQ(copy.payload_buffer().get(), c.payload_buffer().get());
+  EXPECT_EQ(copy.checksum(), c.checksum());
+  EXPECT_TRUE(copy.verify());
 }
 
 TEST(Chunk, SetVirtualScaleRecomputesVirtualBytes) {

@@ -237,21 +237,21 @@ TEST_F(StreamTest, HeaderScanRejectsMissingOrShortFiles) {
   fs::remove_all(root);
 }
 
-TEST_F(StreamTest, RescaledViewMaterializesAtViewScale) {
+TEST_F(StreamTest, InPlaceRescaleMaterializesAtTheNewScale) {
   const auto root = temp_root("rescale");
   const DatasetStore store(root);
   const auto ds = make_dataset({5000}, 2.0);
   store.save(ds);
 
-  const auto streamed = store.load_streamed("streamed", tiny_windows());
-  const auto view = streamed.with_uniform_virtual_scale(8.0);
-  ASSERT_TRUE(view.streamed());  // the view shares the source
-  const Chunk c = view.materialize(0);
+  auto streamed = store.load_streamed("streamed", tiny_windows());
+  EXPECT_DOUBLE_EQ(streamed.materialize(0).virtual_scale(), 2.0);
+  // The source serves the stored scale; materialize rebinds the fetched
+  // chunk to the dataset's current one.
+  streamed.set_uniform_virtual_scale(8.0);
+  const Chunk c = streamed.materialize(0);
   EXPECT_DOUBLE_EQ(c.virtual_scale(), 8.0);
   EXPECT_DOUBLE_EQ(c.virtual_bytes(), 8.0 * 5000.0);
   EXPECT_TRUE(same_payload(c, ds.chunk(0)));
-  // The base dataset still materializes at its own scale.
-  EXPECT_DOUBLE_EQ(streamed.materialize(0).virtual_scale(), 2.0);
   fs::remove_all(root);
 }
 
@@ -342,7 +342,7 @@ TEST_F(StreamTest, ConcurrentAcquireOfOneWindow) {
 TEST_F(StreamTest, RuntimeNamesTheCorruptedStreamedChunk) {
   // Verify-at-fetch: a streamed chunk is checked by the fetch that hands
   // it to the kernel, so a corrupted one fails the run with a typed error
-  // naming it whether or not verify_chunks is set, serial or pooled.
+  // naming it, serial or pooled.
   const auto root = temp_root("runtime_corrupt");
   const DatasetStore store(root);
   const auto ds = testing::make_sum_dataset(24, 64);
@@ -350,31 +350,26 @@ TEST_F(StreamTest, RuntimeNamesTheCorruptedStreamedChunk) {
   flip_payload_byte(root / ds.meta().name / "chunk_13.bin", 100);
   const auto streamed = store.load_streamed(ds.meta().name, tiny_windows());
 
-  for (const bool verify : {true, false}) {
-    for (const std::size_t threads : {0, 2, 8}) {
-      std::optional<util::ThreadPool> pool;
-      if (threads > 0) pool.emplace(threads);
-      auto setup = testing::pentium_setup(&streamed, 2, 4);
-      setup.config.verify_chunks = verify;
-      testing::SumKernel kernel;
-      try {
-        (void)freeride::Runtime(pool ? &*pool : nullptr).run(setup, kernel);
-        ADD_FAILURE() << "run succeeded; verify=" << verify
-                      << " threads=" << threads;
-      } catch (const util::SerializationError& e) {
-        EXPECT_NE(std::string(e.what()).find("chunk 13: checksum mismatch"),
-                  std::string::npos)
-            << e.what() << " (verify=" << verify << " threads=" << threads
-            << ")";
-      }
+  for (const std::size_t threads : {0, 2, 8}) {
+    std::optional<util::ThreadPool> pool;
+    if (threads > 0) pool.emplace(threads);
+    const auto setup = testing::pentium_setup(&streamed, 2, 4);
+    testing::SumKernel kernel;
+    try {
+      (void)freeride::Runtime(pool ? &*pool : nullptr).run(setup, kernel);
+      ADD_FAILURE() << "run succeeded; threads=" << threads;
+    } catch (const util::SerializationError& e) {
+      EXPECT_NE(std::string(e.what()).find("chunk 13: checksum mismatch"),
+                std::string::npos)
+          << e.what() << " (threads=" << threads << ")";
     }
   }
   fs::remove_all(root);
 }
 
 TEST_F(StreamTest, TwoPassJobFetchesEachChunkOncePerPass) {
-  // The verify_chunks sweep skips unloaded streamed chunks (their fetch
-  // is the check), so a 2-pass job streams every byte exactly twice.
+  // The first pass's checksum sweep skips unloaded streamed chunks (their
+  // fetch is the check), so a 2-pass job streams every byte exactly twice.
   const auto root = temp_root("fetch_count");
   const DatasetStore store(root);
   const auto ds = testing::make_sum_dataset(24, 64);
@@ -387,7 +382,6 @@ TEST_F(StreamTest, TwoPassJobFetchesEachChunkOncePerPass) {
   params.passes = 2;
   testing::SumKernel kernel(params);
   const auto setup = testing::pentium_setup(&streamed, 2, 4);
-  ASSERT_TRUE(setup.config.verify_chunks);
   util::ThreadPool pool(4);
   const auto result = freeride::Runtime(&pool).run(setup, kernel);
   EXPECT_EQ(result.passes, 2);

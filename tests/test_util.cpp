@@ -260,12 +260,6 @@ TEST(Stats, AccumulatorEmptyThrows) {
   EXPECT_THROW(a.stdev(), Error);
 }
 
-TEST(Stats, SpanHelpers) {
-  const std::vector<double> xs{2.0, 4.0, 6.0};
-  EXPECT_DOUBLE_EQ(mean(xs), 4.0);
-  EXPECT_DOUBLE_EQ(max_value(xs), 6.0);
-}
-
 TEST(Stats, RelativeErrorMatchesPaperDefinition) {
   EXPECT_DOUBLE_EQ(relative_error(10.0, 9.0), 0.1);
   EXPECT_DOUBLE_EQ(relative_error(10.0, 11.0), 0.1);
@@ -274,27 +268,6 @@ TEST(Stats, RelativeErrorMatchesPaperDefinition) {
 
 TEST(Stats, RelativeErrorRequiresPositiveExact) {
   EXPECT_THROW(relative_error(0.0, 1.0), Error);
-}
-
-TEST(Stats, FitLineRecoversSlopeIntercept) {
-  const std::vector<double> xs{0, 1, 2, 3};
-  const std::vector<double> ys{1, 3, 5, 7};  // y = 1 + 2x
-  const auto fit = fit_line(xs, ys);
-  EXPECT_NEAR(fit.intercept, 1.0, 1e-12);
-  EXPECT_NEAR(fit.slope, 2.0, 1e-12);
-}
-
-TEST(Stats, FitLineDegenerateXGivesMean) {
-  const std::vector<double> xs{2, 2, 2};
-  const std::vector<double> ys{1, 2, 3};
-  const auto fit = fit_line(xs, ys);
-  EXPECT_DOUBLE_EQ(fit.slope, 0.0);
-  EXPECT_DOUBLE_EQ(fit.intercept, 2.0);
-}
-
-TEST(Stats, FitLineNeedsTwoPoints) {
-  const std::vector<double> one{1.0};
-  EXPECT_THROW(fit_line(one, one), Error);
 }
 
 // ------------------------------------------------------------------ table

@@ -25,13 +25,6 @@
 //                        over float/double accumulators in src/apps/
 //                        kernels — accumulation order must be pinned by
 //                        the util/simd.h blocked helpers (§10).
-//   event-order          a std::priority_queue / sort / heap algorithm
-//                        over sim::Event values in src/sim that does not
-//                        name one of the canonical tie-break comparators
-//                        (EventAfter / EventBefore / event_order_less) —
-//                        partial keys (bare time) leave ties in container
-//                        order, which breaks the deterministic-replay
-//                        contract of the event engine (DESIGN.md §18).
 //   layering             the project include graph must follow the layer
 //                        order of src/CMakeLists.txt (util → obs → sim →
 //                        repository|grid → datagen|freeride → apps|core);
@@ -127,9 +120,6 @@ struct NameIndex {
   std::set<std::string> unordered_vars;
   std::set<std::string> unordered_aliases;  // type names aliasing unordered_*
   std::set<std::string> atomic_vars;
-  /// Variables in src/sim declared as sim::Event (or a container of them)
-  /// — the event-order rule's subjects.
-  std::set<std::string> event_vars;
 };
 
 /// Pass 1 over one file: records unordered-typed / atomic-typed variable

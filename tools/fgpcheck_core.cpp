@@ -285,7 +285,6 @@ struct Decl {
   bool is_float = false;      // declared float/double
   bool is_atomic = false;     // std::atomic<...>
   bool is_unordered = false;  // std::unordered_map/set/... (or alias)
-  bool is_event = false;      // sim::Event (or a container of them)
 };
 
 /// Scans [begin, end) for declaration-shaped statements:
@@ -322,7 +321,6 @@ void scan_declarations(const Tokens& toks, const std::vector<std::size_t>& match
     std::size_t j = i;
     std::vector<std::size_t> idents;  // identifier positions in the run
     bool saw_unordered = false, saw_atomic = false, saw_float = false;
-    bool saw_event = false;
     while (j < end) {
       const Token& u = toks[j];
       if (is_punct(u, "<")) {
@@ -345,7 +343,6 @@ void scan_declarations(const Tokens& toks, const std::vector<std::size_t>& match
           if (v.kind == TokKind::Ident) {
             if (v.text.rfind("unordered_", 0) == 0) saw_unordered = true;
             if (v.text == "atomic") saw_atomic = true;
-            if (v.text == "Event") saw_event = true;
           }
           ++k;
         }
@@ -363,7 +360,6 @@ void scan_declarations(const Tokens& toks, const std::vector<std::size_t>& match
         if (u.text == "atomic" || u.text.rfind("atomic_", 0) == 0)
           saw_atomic = true;
         if (u.text == "float" || u.text == "double") saw_float = true;
-        if (u.text == "Event") saw_event = true;
         if (unordered_aliases.count(u.text) != 0) saw_unordered = true;
       }
       ++j;
@@ -388,7 +384,6 @@ void scan_declarations(const Tokens& toks, const std::vector<std::size_t>& match
         d.is_float = saw_float;
         d.is_atomic = saw_atomic;
         d.is_unordered = saw_unordered;
-        d.is_event = saw_event;
         out.push_back(std::move(d));
         // Multi-declarator lists: after '=' or ',' further declarators of
         // the same type may follow; walk initializers at top level.
@@ -963,10 +958,6 @@ void collect_names(std::string_view src, const std::string& rel_path,
   for (const auto& d : decls) {
     if (d.is_unordered) index.unordered_vars.insert(d.name);
     if (d.is_atomic) index.atomic_vars.insert(d.name);
-    // Event-typed names only matter inside the event engine's home module
-    // (the event-order rule is scoped to src/sim).
-    if (d.is_event && starts_with(rel_path, "src/sim"))
-      index.event_vars.insert(d.name);
   }
 }
 
@@ -978,7 +969,6 @@ FileAnalysis analyze_source(std::string_view src, const std::string& rel_path,
   // Scope flags.
   const bool in_src = starts_with(rel_path, "src/");
   const bool in_apps = starts_with(rel_path, "src/apps/");
-  const bool in_sim = starts_with(rel_path, "src/sim");
   const bool is_simd_helpers = rel_path == "src/util/simd.h";
   const int my_rank = layer_rank(rel_path);
   const std::string_view my_module = module_of(rel_path);
@@ -1081,58 +1071,6 @@ FileAnalysis analyze_source(std::string_view src, const std::string& rel_path,
              "iterator walk over unordered container '" + toks[i].text +
                  "' — iteration order is implementation-defined and breaks "
                  "bit-determinism (DESIGN.md §14)"});
-      }
-    }
-  }
-
-  // --- event-order (src/sim only) -----------------------------------------
-  // A heap or sort over sim::Event values that does not name one of the
-  // canonical tie-break comparators (EventAfter / EventBefore /
-  // event_order_less) orders events by some partial key — usually bare
-  // time — and ties then dispatch in container order, which is not part
-  // of the replay contract (DESIGN.md §18).
-  if (in_sim) {
-    std::set<std::string> event_here = index.event_vars;
-    for (const auto& d : file_decls)
-      if (d.is_event) event_here.insert(d.name);
-    static const std::set<std::string> kOrderingAlgos = {
-        "sort",      "stable_sort", "partial_sort", "nth_element",
-        "sort_heap", "push_heap",   "pop_heap",     "make_heap"};
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-      const Token& t = toks[i];
-      if (t.kind != TokKind::Ident) continue;
-      const bool is_queue = t.text == "priority_queue";
-      const bool is_algo =
-          kOrderingAlgos.count(t.text) != 0 && i + 1 < toks.size() &&
-          is_punct(toks[i + 1], "(");
-      if (!is_queue && !is_algo) continue;
-      // Statement span: forward to the top-level ';' (balanced groups
-      // skipped), bounded so hostile input stays linear.
-      bool touches_event = false;
-      bool canonical = false;
-      std::size_t k = i + 1;
-      std::size_t steps = 0;
-      while (k < toks.size() && steps++ < 512) {
-        const Token& u = toks[k];
-        if (u.kind == TokKind::Punct &&
-            (u.text == ";" || u.text == "}"))
-          break;
-        if (u.kind == TokKind::Ident) {
-          if (u.text == "Event" || event_here.count(u.text) != 0)
-            touches_event = true;
-          if (u.text == "EventAfter" || u.text == "EventBefore" ||
-              u.text == "event_order_less")
-            canonical = true;
-        }
-        ++k;
-      }
-      if (touches_event && !canonical) {
-        findings.push_back(
-            {rel_path, t.line, "event-order",
-             "'" + t.text + "' over sim events without the canonical "
-             "tie-break comparator — order events with EventAfter / "
-             "EventBefore / event_order_less ((time, seq, node, kind), "
-             "DESIGN.md §18) or replay stops being bit-identical"});
       }
     }
   }

@@ -11,7 +11,7 @@
 //
 // All three modes dispatch on the file's "schema" field
 // (fgpred-trace-v1 / fgpred-metrics-v1 / fgpred-residuals-v1 /
-// fgpred-slowlog-v1 / fgpred-drift-v1 / fgpred-snapshots-v1).
+// fgpred-slowlog-v1 / fgpred-drift-v1).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -177,33 +177,6 @@ void summarize_drift(const json::Value& doc) {
                     : "  verdict: steady\n");
 }
 
-void summarize_snapshots(const json::Value& doc) {
-  const auto& snapshots = doc.find("snapshots")->as_array();
-  std::printf("snapshots: %zu kept of %g captured (capacity %g)\n",
-              snapshots.size(), doc.find("captured")->as_number(),
-              doc.find("capacity")->as_number());
-  if (snapshots.size() < 2) return;
-  const json::Value& first = snapshots.front();
-  const json::Value& last = snapshots.back();
-  const json::Value* t0 = first.find("host_seconds");
-  const json::Value* t1 = last.find("host_seconds");
-  const double dt = t0 != nullptr && t1 != nullptr
-                        ? t1->as_number() - t0->as_number()
-                        : 0.0;
-  std::cout << "  deterministic deltas over the kept window"
-            << (dt > 0.0 ? " (with rates)" : "") << ":\n";
-  for (const auto& [name, v] : last.find("deterministic")->as_object()) {
-    const json::Value* before = first.find("deterministic")->find(name);
-    if (before == nullptr || !before->is_number()) continue;
-    const double delta = v.as_number() - before->as_number();
-    if (dt > 0.0)
-      std::printf("    %-24s %+g (%.1f/s)\n", name.c_str(), delta,
-                  delta / dt);
-    else
-      std::printf("    %-24s %+g\n", name.c_str(), delta);
-  }
-}
-
 void summarize_metrics(const json::Value& doc) {
   const auto print_domain = [](const json::Value* domain,
                                const char* label) {
@@ -271,7 +244,6 @@ int cmd_summarize(const std::string& path) {
     case ReportKind::Residuals: summarize_residuals(doc); break;
     case ReportKind::Slowlog: summarize_slowlog(doc); break;
     case ReportKind::Drift: summarize_drift(doc); break;
-    case ReportKind::Snapshots: summarize_snapshots(doc); break;
     case ReportKind::Unknown: return 1;
   }
   return 0;
