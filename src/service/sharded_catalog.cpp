@@ -10,6 +10,14 @@ namespace fgp::service {
 
 namespace {
 
+using Leaf = ReplicaShard::Leaf;
+using LeafPtr = std::shared_ptr<const Leaf>;
+
+/// A publish copies the leaf its entries land in, so this bounds the copy.
+/// A leaf grows to 2 × kLeafEntries before it is cut into leaves of about
+/// kLeafEntries. DESIGN.md §16 records the sweep behind the value.
+constexpr std::size_t kLeafEntries = 128;
+
 /// FNV-1a 64-bit; stable across platforms so shard assignment (and the
 /// fan-out counters derived from it) is deterministic.
 std::uint64_t fnv1a(std::string_view s) {
@@ -24,6 +32,68 @@ std::uint64_t fnv1a(std::string_view s) {
 bool link_less(const Topology::Link& a, const Topology::Link& b) {
   if (a.repository != b.repository) return a.repository < b.repository;
   return a.compute < b.compute;
+}
+
+bool by_dataset(const grid::Replica& a, const grid::Replica& b) {
+  return a.dataset < b.dataset;
+}
+
+/// Appends the sorted `run` to `out`: whole when it holds at most
+/// 2 × kLeafEntries entries, else as leaves of about kLeafEntries. Each cut
+/// goes at the dataset boundary nearest kLeafEntries past the leaf's
+/// start, so no dataset spans two leaves and a dataset longer than the
+/// target gets a leaf of its own size.
+void append_leaves(std::vector<LeafPtr>& out, Leaf run) {
+  auto first = run.begin();
+  while (static_cast<std::size_t>(run.end() - first) > 2 * kLeafEntries) {
+    const auto target = first + kLeafEntries;
+    const auto [lo, hi] = std::equal_range(first, run.end(), *target,
+                                           by_dataset);
+    const auto cut = lo != first && target - lo <= hi - target ? lo : hi;
+    out.push_back(std::make_shared<const Leaf>(
+        std::make_move_iterator(first), std::make_move_iterator(cut)));
+    first = cut;
+  }
+  if (first == run.begin())
+    out.push_back(std::make_shared<const Leaf>(std::move(run)));
+  else if (first != run.end())
+    out.push_back(std::make_shared<const Leaf>(
+        std::make_move_iterator(first), std::make_move_iterator(run.end())));
+}
+
+/// The snapshot after merging `batch` (stably sorted by dataset) into
+/// `current`. Each entry goes to the first leaf whose last dataset is not
+/// less than its own, the last leaf taking the rest; a leaf that gets none
+/// is shared, one that gets some is merged with its existing entries first
+/// on ties and re-cut.
+std::shared_ptr<const ReplicaShard> merge_publish(const ReplicaShard& current,
+                                                  Leaf batch) {
+  auto next = std::make_shared<ReplicaShard>();
+  if (current.leaves.empty()) {
+    append_leaves(next->leaves, std::move(batch));
+    return next;
+  }
+  next->leaves.reserve(current.leaves.size() + 1);
+  auto in = batch.begin();
+  for (std::size_t i = 0; i < current.leaves.size(); ++i) {
+    const LeafPtr& leaf = current.leaves[i];
+    const auto in_end =
+        i + 1 == current.leaves.size()
+            ? batch.end()
+            : std::upper_bound(in, batch.end(), leaf->back(), by_dataset);
+    if (in == in_end) {
+      next->leaves.push_back(leaf);
+      continue;
+    }
+    Leaf merged;
+    merged.reserve(leaf->size() + static_cast<std::size_t>(in_end - in));
+    std::merge(leaf->begin(), leaf->end(), std::make_move_iterator(in),
+               std::make_move_iterator(in_end), std::back_inserter(merged),
+               by_dataset);
+    append_leaves(next->leaves, std::move(merged));
+    in = in_end;
+  }
+  return next;
 }
 
 /// Runs before shards_ is sized in the member-init list, so an absurd
@@ -68,6 +138,15 @@ const sim::WanSpec* Topology::find_link(std::string_view repository,
 
 std::span<const grid::Replica> ReplicaShard::replicas_of(
     std::string_view dataset) const {
+  // The only leaf that can hold `dataset` is the first whose last dataset
+  // is not less than it.
+  const auto leaf = std::lower_bound(
+      leaves.begin(), leaves.end(), dataset,
+      [](const LeafPtr& l, std::string_view d) {
+        return std::string_view(l->back().dataset) < d;
+      });
+  if (leaf == leaves.end()) return {};
+  const Leaf& replicas = **leaf;
   const auto lo = std::lower_bound(
       replicas.begin(), replicas.end(), dataset,
       [](const grid::Replica& r, std::string_view d) {
@@ -79,6 +158,12 @@ std::span<const grid::Replica> ReplicaShard::replicas_of(
         return d < std::string_view(r.dataset);
       });
   return {lo, hi};
+}
+
+std::size_t ReplicaShard::size() const {
+  std::size_t total = 0;
+  for (const LeafPtr& leaf : leaves) total += leaf->size();
+  return total;
 }
 
 std::size_t shard_of(std::string_view dataset, std::size_t shard_count) {
@@ -152,6 +237,8 @@ void ShardedCatalog::register_replicas(std::vector<grid::Replica> replicas) {
   // Validate against the current topology first so a bad entry publishes
   // nothing (all-or-nothing).
   for (const auto& r : replicas) {
+    // query_batch rejects an empty dataset, so no query could reach it.
+    FGP_CHECK_MSG(!r.dataset.empty(), "replica needs a dataset name");
     const auto* repo = topo->find_repository(r.repository);
     FGP_CHECK_MSG(repo != nullptr,
                   "unknown repository site: " << r.repository);
@@ -163,28 +250,19 @@ void ShardedCatalog::register_replicas(std::vector<grid::Replica> replicas) {
   }
 
   // Partition the batch, then copy-on-publish only the touched shards.
-  std::vector<std::vector<grid::Replica>> per_shard(shards_.size());
+  std::vector<Leaf> per_shard(shards_.size());
   for (auto& r : replicas)
     per_shard[shard_of(r.dataset, shards_.size())].push_back(std::move(r));
-  const auto by_dataset = [](const grid::Replica& a, const grid::Replica& b) {
-    return a.dataset < b.dataset;
-  };
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     auto& batch = per_shard[s];
     if (batch.empty()) continue;
     // Registration order within a dataset must survive (the enumeration
     // order contract): the batch sorts stably, and the merge puts
-    // existing entries before incoming ones on ties. The shard is already
-    // sorted, so a publish costs one linear merge, not a full re-sort.
+    // existing entries before incoming ones on ties. The leaves are
+    // already sorted, so a publish costs one linear merge per touched
+    // leaf, not a re-sort or a copy of the shard.
     std::stable_sort(batch.begin(), batch.end(), by_dataset);
-    const auto current = shards_[s].load();
-    auto next = std::make_shared<ReplicaShard>();
-    next->replicas.reserve(current->replicas.size() + batch.size());
-    std::merge(current->replicas.begin(), current->replicas.end(),
-               std::make_move_iterator(batch.begin()),
-               std::make_move_iterator(batch.end()),
-               std::back_inserter(next->replicas), by_dataset);
-    shards_[s].store(std::shared_ptr<const ReplicaShard>(std::move(next)));
+    shards_[s].store(merge_publish(*shards_[s].load(), std::move(batch)));
   }
 }
 
@@ -207,7 +285,7 @@ std::shared_ptr<const ReplicaShard> ShardedCatalog::shard_for(
 
 std::size_t ShardedCatalog::replica_count() const {
   std::size_t total = 0;
-  for (const auto& s : shards_) total += s.load()->replicas.size();
+  for (const auto& s : shards_) total += s.load()->size();
   return total;
 }
 

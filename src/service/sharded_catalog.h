@@ -9,13 +9,15 @@
 // ShardedCatalog gets there with two ingredients:
 //
 //   * Replica entries are hash-partitioned over N shards by dataset name,
-//     each shard an *immutable* snapshot (replicas sorted by dataset, so a
-//     lookup is one binary search) published through
-//     std::atomic<std::shared_ptr>. Readers load the pointer and never
-//     lock; writers copy the affected shard, apply the change, and swap
-//     the pointer (copy-on-publish). A reader holding a snapshot keeps it
-//     alive for as long as it needs — a concurrent publish can never pull
-//     data out from under an in-flight query.
+//     each shard an *immutable* snapshot published through
+//     std::atomic<std::shared_ptr>: a sequence of small immutable leaves
+//     sorted by dataset, so a lookup is two binary searches. Readers load
+//     the pointer and never lock; a writer builds the next snapshot by
+//     copying only the leaves its entries land in, shares every other
+//     leaf with the previous snapshot, and swaps the pointer
+//     (copy-on-publish). A reader holding a snapshot keeps it and its
+//     leaves alive for as long as it needs — a concurrent publish can
+//     never pull data out from under an in-flight query.
 //
 //   * The small side of the catalog — compute sites, repository sites,
 //     WAN links — lives in one Topology snapshot under the same
@@ -67,13 +69,19 @@ struct Topology {
                                 std::string_view compute) const;
 };
 
-/// One shard's replica entries, sorted by dataset name; entries of the
-/// same dataset keep their registration order (a publish stably sorts the
-/// incoming batch and merges it after the existing entries).
+/// One shard's replica entries as immutable leaves in dataset order. Each
+/// leaf is non-empty and sorted by dataset name, its last dataset sorts
+/// before the next leaf's first, so a dataset's replicas never span two
+/// leaves; entries of the same dataset keep their registration order (a
+/// publish stably sorts the incoming batch and merges it after the
+/// existing entries). Snapshots share every leaf a publish left alone.
 struct ReplicaShard {
-  std::vector<grid::Replica> replicas;
+  using Leaf = std::vector<grid::Replica>;
+  std::vector<std::shared_ptr<const Leaf>> leaves;
   /// The contiguous run of replicas for `dataset` (empty span when none).
   std::span<const grid::Replica> replicas_of(std::string_view dataset) const;
+  /// Replica entries across all leaves.
+  std::size_t size() const;
 };
 
 /// The shard index of `dataset` among `shard_count` shards (FNV-1a over
@@ -83,9 +91,8 @@ std::size_t shard_of(std::string_view dataset, std::size_t shard_count);
 
 class ShardedCatalog {
  public:
-  /// `shards` must be in [1, 4096] (ConfigError otherwise). More shards
-  /// shrink the copy a single register_replica pays; the shard count is
-  /// fixed for the catalog's lifetime so shard_of stays stable.
+  /// `shards` must be in [1, 4096] (ConfigError otherwise). The shard
+  /// count is fixed for the catalog's lifetime so shard_of stays stable.
   explicit ShardedCatalog(std::size_t shards = 16);
 
   ShardedCatalog(const ShardedCatalog&) = delete;
@@ -99,8 +106,12 @@ class ShardedCatalog {
   void register_link(const grid::SiteId& repository,
                      const grid::SiteId& compute, sim::WanSpec wan);
   void register_replica(grid::Replica replica);
-  /// Bulk load: one batch sort + one merge-publish per shard instead of a
-  /// copy-on-publish per entry — the path a million-entry catalog takes.
+  /// Bulk load: one batch sort + one publish per touched shard instead of
+  /// one per entry — the path a million-entry catalog takes. Each leaf
+  /// that takes entries is merged and, when too long, cut at dataset
+  /// boundaries; untouched leaves are shared. Throws util::Error,
+  /// publishing nothing, when any entry has an empty dataset name, an
+  /// unknown repository, or more storage nodes than its site has.
   void register_replicas(std::vector<grid::Replica> replicas);
 
   // --- readers (lock-free snapshot loads) ---------------------------------

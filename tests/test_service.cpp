@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
@@ -172,6 +173,8 @@ TEST(ShardedCatalog, RegistrationIsValidated) {
                    {"repo-east", sim::cluster_ideal(), 4}),
                util::Error);
   EXPECT_THROW(cat.register_replica({"x", "nope", 1}), util::Error);
+  // query_batch rejects an empty dataset, so such a replica is unreachable.
+  EXPECT_THROW(cat.register_replica({"", "repo-east", 1}), util::Error);
   EXPECT_THROW(cat.register_replica({"x", "repo-west", 5}), util::Error);
   EXPECT_THROW(cat.register_link("repo-east", "nope", sim::wan_mbps(10)),
                util::Error);
@@ -219,10 +222,13 @@ TEST(ShardedCatalog, BulkRegisterIsAllOrNothing) {
   ShardedCatalog cat(4);
   populate(cat);
   const std::size_t before = cat.replica_count();
-  std::vector<grid::Replica> batch = {{"ok", "repo-east", 2},
-                                      {"bad", "repo-west", 99}};
-  EXPECT_THROW(cat.register_replicas(std::move(batch)), util::Error);
-  EXPECT_EQ(cat.replica_count(), before);
+  for (const grid::Replica& bad : {grid::Replica{"bad", "repo-west", 99},
+                                   grid::Replica{"", "repo-west", 1}}) {
+    std::vector<grid::Replica> batch = {{"ok", "repo-east", 2}, bad};
+    EXPECT_THROW(cat.register_replicas(std::move(batch)), util::Error);
+    EXPECT_EQ(cat.replica_count(), before);
+    EXPECT_TRUE(cat.shard_for("ok")->replicas_of("ok").empty());
+  }
 }
 
 TEST(ShardedCatalog, EnumeratesTheExpectedCandidates) {
@@ -269,55 +275,112 @@ TEST(ShardedCatalog, EnumeratesTheExpectedCandidates) {
   }
 }
 
-TEST(ShardedCatalog, RandomRegistrationsFollowTheEnumerationContract) {
-  // A publish merges the stably sorted batch after a shard's existing
-  // entries, so any mix of single and bulk registrations — repeated
-  // datasets, names arriving unsorted — must keep every shard sorted and
-  // registration order within each dataset.
-  constexpr int kDatasets = 17;
-  util::Rng rng(20070326);
-  std::vector<std::vector<grid::Replica>> batches(60);
+/// `count` random registration batches over datasets ds-0 …
+/// ds-<datasets − 1>: one batch in `bulk_one_in` is a bulk batch of 2 to
+/// `max_bulk` entries, the rest single entries. With `hot_one_in` > 0, one
+/// entry in that many goes to the dataset "hot" instead.
+std::vector<std::vector<grid::Replica>> random_batches(
+    util::Rng& rng, std::uint64_t datasets, std::size_t count,
+    std::uint64_t bulk_one_in, std::uint64_t max_bulk,
+    std::uint64_t hot_one_in = 0) {
+  std::vector<std::vector<grid::Replica>> batches(count);
   for (auto& batch : batches) {
     const std::size_t size =
-        rng.next_below(3) == 0 ? 2 + rng.next_below(12) : 1;
+        rng.next_below(bulk_one_in) == 0 ? 2 + rng.next_below(max_bulk - 1)
+                                         : 1;
     for (std::size_t i = 0; i < size; ++i) {
       const bool east = rng.next_below(2) == 0;
-      batch.push_back({"ds-" + std::to_string(rng.next_below(kDatasets)),
-                       east ? "repo-east" : "repo-west",
+      std::string dataset = "ds-" + std::to_string(rng.next_below(datasets));
+      if (hot_one_in > 0 && rng.next_below(hot_one_in) == 0) dataset = "hot";
+      batch.push_back({std::move(dataset), east ? "repo-east" : "repo-west",
                        1 + static_cast<int>(rng.next_below(east ? 8 : 4))});
     }
   }
-  std::vector<grid::Replica> registered = populated_replicas();
-  for (const auto& batch : batches)
-    registered.insert(registered.end(), batch.begin(), batch.end());
+  return batches;
+}
 
-  for (std::size_t shards : {1u, 3u, 16u}) {
-    ShardedCatalog sharded(shards);
-    populate(sharded);
-    for (const auto& batch : batches) {
-      if (batch.size() == 1)
-        sharded.register_replica(batch.front());
-      else
-        sharded.register_replicas(batch);
+TEST(ShardedCatalog, RandomRegistrationsFollowTheEnumerationContract) {
+  // A publish merges the stably sorted batch into the leaves it lands in,
+  // after their existing entries, and cuts a long leaf only at dataset
+  // boundaries; so any mix of single and bulk registrations — repeated
+  // datasets, names arriving unsorted — must keep every leaf non-empty
+  // and sorted, every dataset inside one leaf, and registration order
+  // within each dataset. The small input keeps each shard in one leaf;
+  // the large one grows many leaves per shard, splits them under
+  // publishes, and holds a "hot" dataset longer than any leaf may grow.
+  struct Input {
+    std::uint64_t datasets;
+    std::vector<std::vector<grid::Replica>> batches;
+    std::vector<std::size_t> shard_counts;
+    bool many_leaves;
+  };
+  util::Rng rng(20070326);
+  std::vector<Input> inputs;
+  inputs.push_back({17, random_batches(rng, 17, 60, 3, 13), {1, 3, 16}, false});
+  inputs.push_back(
+      {3000, random_batches(rng, 3000, 300, 4, 600, 40), {1, 3}, true});
+
+  const auto before = [](const grid::Replica& a, const grid::Replica& b) {
+    return a.dataset < b.dataset;
+  };
+  for (const auto& input : inputs) {
+    std::vector<grid::Replica> registered = populated_replicas();
+    for (const auto& batch : input.batches)
+      registered.insert(registered.end(), batch.begin(), batch.end());
+    std::map<std::string, std::vector<grid::Replica>> by_dataset;
+    for (const auto& r : registered) by_dataset[r.dataset].push_back(r);
+    // "hot" outgrows the 2 × 128 entries a leaf may reach before a cut.
+    if (input.many_leaves) {
+      ASSERT_GT(by_dataset["hot"].size(), 256u);
     }
-    for (std::size_t s = 0; s < shards; ++s) {
-      const auto& replicas = sharded.shard(s)->replicas;
-      EXPECT_TRUE(std::is_sorted(
-          replicas.begin(), replicas.end(),
-          [](const grid::Replica& a, const grid::Replica& b) {
-            return a.dataset < b.dataset;
-          }))
-          << "shard " << s << " of " << shards;
+
+    for (const std::size_t shards : input.shard_counts) {
+      const std::string at = " @" + std::to_string(shards) + " shards, " +
+                             std::to_string(input.datasets) + " datasets";
+      ShardedCatalog sharded(shards);
+      populate(sharded);
+      for (const auto& batch : input.batches) {
+        if (batch.size() == 1)
+          sharded.register_replica(batch.front());
+        else
+          sharded.register_replicas(batch);
+      }
+      EXPECT_EQ(sharded.replica_count(), registered.size()) << at;
+      for (std::size_t s = 0; s < shards; ++s) {
+        const auto shard = sharded.shard(s);
+        const auto& leaves = shard->leaves;
+        if (input.many_leaves) {
+          EXPECT_GT(leaves.size(), 1u) << "shard " << s << at;
+        }
+        for (std::size_t i = 0; i < leaves.size(); ++i) {
+          const auto& leaf = *leaves[i];
+          ASSERT_FALSE(leaf.empty()) << "leaf " << i << " shard " << s << at;
+          EXPECT_TRUE(std::is_sorted(leaf.begin(), leaf.end(), before))
+              << "leaf " << i << " shard " << s << at;
+          if (i > 0) {
+            EXPECT_LT(leaves[i - 1]->back().dataset, leaf.front().dataset)
+                << "leaf " << i << " shard " << s << at;
+          }
+        }
+      }
+      const auto topo = sharded.topology();
+      std::vector<std::string> datasets = {"em-data", "points", "hot"};
+      for (std::uint64_t d = 0; d < input.datasets; ++d)
+        datasets.push_back("ds-" + std::to_string(d));
+      // Never registered: before every name, inside the range, past it.
+      for (const char* absent :
+           {"absent", "ds-3000", "ds-17-absent", "zz-absent"})
+        datasets.emplace_back(absent);
+      for (const auto& dataset : datasets) {
+        const auto it = by_dataset.find(dataset);
+        const std::vector<grid::Replica> none;
+        expect_same_candidates(
+            enumerate(sharded, dataset),
+            contract_candidates(it == by_dataset.end() ? none : it->second,
+                                *topo, dataset),
+            dataset + at);
+      }
     }
-    const auto topo = sharded.topology();
-    std::vector<std::string> datasets = {"em-data", "points"};
-    for (int d = 0; d < kDatasets; ++d)
-      datasets.push_back("ds-" + std::to_string(d));
-    for (const auto& dataset : datasets)
-      expect_same_candidates(
-          enumerate(sharded, dataset),
-          contract_candidates(registered, *topo, dataset),
-          dataset + " @" + std::to_string(shards));
   }
 }
 
@@ -337,6 +400,50 @@ TEST(ShardedCatalog, SnapshotSurvivesLaterPublishes) {
   EXPECT_GT(cat.topology()->version, topo->version);
   EXPECT_EQ(cat.shard_for("em-data")->replicas_of("em-data").size(),
             replicas_before + 1);
+}
+
+TEST(ShardedCatalog, PublishCopiesOnlyTheTouchedLeaf) {
+  // The claim behind a cheap publish: the next snapshot shares every leaf
+  // of the previous one except the leaf the entry landed in (or the two
+  // it was cut into), and a held snapshot still reads its old run.
+  ShardedCatalog cat(1);
+  populate(cat);
+  std::vector<grid::Replica> bulk;
+  for (int d = 0; d < 4000; ++d)
+    bulk.push_back({"ds-" + std::to_string(d), "repo-east", 1});
+  cat.register_replicas(std::move(bulk));
+  ASSERT_GE(cat.shard(0)->leaves.size(), 10u);
+
+  const auto shared_leaves = [](const ReplicaShard& prev,
+                                const ReplicaShard& next) {
+    std::size_t shared = 0;
+    for (const auto& leaf : next.leaves)
+      shared += static_cast<std::size_t>(
+          std::count(prev.leaves.begin(), prev.leaves.end(), leaf));
+    return shared;
+  };
+  bool split = false;
+  for (std::size_t published = 1; !split && published <= 300; ++published) {
+    const auto prev = cat.shard(0);
+    const auto run = prev->replicas_of("ds-2000");
+    cat.register_replica({"ds-2000", "repo-west", 1});
+    const auto next = cat.shard(0);
+    split = next->leaves.size() != prev->leaves.size();
+    if (split) {
+      EXPECT_EQ(next->leaves.size(), prev->leaves.size() + 1);
+    }
+    EXPECT_EQ(shared_leaves(*prev, *next), prev->leaves.size() - 1)
+        << "publish " << published;
+    // The bulk entry, then one per publish, in registration order.
+    const auto now = next->replicas_of("ds-2000");
+    ASSERT_EQ(now.size(), published + 1);
+    EXPECT_EQ(now.front().repository, "repo-east");
+    EXPECT_EQ(now.back().repository, "repo-west");
+    const auto held = prev->replicas_of("ds-2000");
+    EXPECT_EQ(held.data(), run.data());
+    EXPECT_EQ(held.size(), published);
+  }
+  EXPECT_TRUE(split) << "300 publishes to one dataset never cut its leaf";
 }
 
 // ---------------------------------------------------------------------------
@@ -848,6 +955,13 @@ TEST(SelectionService, ConcurrentQueriesRaceSnapshotSwaps) {
 
   // One replica of a fresh dataset exists up front; the writer keeps
   // publishing more replicas and topology bumps while readers query.
+  // Filler gives every shard several leaves, so the writer's publishes
+  // share and cut leaves that readers hold spans into.
+  std::vector<grid::Replica> filler;
+  for (int i = 0; i < 16000; ++i)
+    filler.push_back({"filler-" + std::to_string(i / 2),
+                      "repo-" + std::to_string(i % 4), 1});
+  fx.catalog.register_replicas(std::move(filler));
   fx.catalog.register_replica({"hot", "repo-0", 1});
   std::atomic<bool> stop{false};
   std::thread writer([&] {
