@@ -1,15 +1,17 @@
-# golden_check.cmake — runs one fig/abl/ext binary and requires its stdout
-# to equal the committed golden file byte for byte (bench/golden/). The
-# binaries print virtual-time results, which are deterministic, so the
-# comparison has no tolerance.
+# golden_check.cmake — runs one program and requires its stdout to equal
+# the committed golden file byte for byte (bench/golden/ for the
+# fig/abl/ext binaries, examples/golden/ and tools/golden/ for the examples
+# and `fgpred select`). The programs print virtual-time results, which are
+# deterministic, so the comparison has no tolerance.
 #
-#   cmake -DBINARY=<path> -DGOLDEN=<bench/golden/name.txt> -P golden_check.cmake
+#   cmake -DBINARY=<path> [-DARGS=<arg;...>] -DGOLDEN=<golden.txt> \
+#         -P golden_check.cmake
 #
-# To refresh a golden after an intended output change, run the binary and
+# To refresh a golden after an intended output change, run the program and
 # commit its stdout: ./build/bench/<name> > bench/golden/<name>.txt
 cmake_minimum_required(VERSION 3.16)
 
-execute_process(COMMAND ${BINARY}
+execute_process(COMMAND ${BINARY} ${ARGS}
                 RESULT_VARIABLE rc
                 OUTPUT_VARIABLE actual
                 ERROR_VARIABLE stderr)

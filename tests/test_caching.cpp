@@ -1,11 +1,19 @@
 // Tests for the extended caching subsystem: capacity-gated local caching,
-// non-local cache sites, the overlap execution mode, and the cache
-// planner's agreement with the simulated ground truth.
+// non-local cache sites, each data tier's deterministic exports, the
+// overlap execution mode, and the cache planner's agreement with the
+// simulated ground truth.
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <ostream>
+#include <sstream>
+#include <string>
 
 #include "core/cache_planner.h"
 #include "freeride/runtime.h"
 #include "helpers.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/stats.h"
 
 namespace fgp::freeride {
@@ -112,6 +120,85 @@ TEST(NonLocalCache, BeatsRefetchingOverASlowRepositoryLink) {
   };
   EXPECT_LT(run_with(true), run_with(false));
 }
+
+// ----------------------------------------------------------- tier exports
+
+/// One way a 3-pass job's later passes can be served: the repository
+/// again, the compute nodes' local disks, a non-local cache site, or the
+/// repository after local caching was refused for lack of capacity.
+struct TierCase {
+  const char* name;
+  bool caching;
+  double local_capacity_bytes;
+  bool site;
+  CacheMode mode;
+};
+
+/// ctest prints GetParam() beside each test name; name the tier there.
+void PrintTo(const TierCase& tier, std::ostream* os) { *os << tier.name; }
+
+struct TierExport {
+  CacheMode mode = CacheMode::None;
+  std::string metrics_json;  ///< deterministic domain only
+  std::string trace_json;    ///< virtual-time spans only
+};
+
+/// Runs the tier's 3-pass SumKernel job at 2-4 on the Pentium cluster
+/// with both observability sinks attached. The virtual scale makes chunk
+/// sizes inexact in binary, so the byte counters also pin the order in
+/// which they are summed.
+TierExport run_tier(const TierCase& tier) {
+  const auto ds = make_sum_dataset(24, 64, 100.1);
+  SumKernelParams p;
+  p.passes = 3;
+  SumKernel kernel(p);
+  auto setup = pentium_setup(&ds, 2, 4);
+  setup.config.enable_caching = tier.caching;
+  setup.config.local_cache_capacity_bytes = tier.local_capacity_bytes;
+  if (tier.site) setup.cache_site = nearby_cache_site(3);
+  obs::TraceRecorder trace;
+  obs::Registry metrics;
+  setup.trace = &trace;
+  setup.metrics = &metrics;
+  const auto result = Runtime().run(setup, kernel);
+  return {result.cache_mode, metrics.to_json(false),
+          trace.to_chrome_json(false)};
+}
+
+std::string read_golden(const std::string& file) {
+  std::ifstream in(std::string(FGP_TEST_GOLDEN_DIR) + "/" + file,
+                   std::ios::binary);
+  EXPECT_TRUE(in) << "missing golden " << file;
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+class TierExports : public ::testing::TestWithParam<TierCase> {};
+
+// Every tier's WAN counters (wan.repo-compute / compute-cache /
+// cache-compute), cache insertions, per-phase histograms and trace spans
+// are pinned byte for byte against tests/golden/tier_<name>.*.json.
+TEST_P(TierExports, MatchCommittedGoldens) {
+  const TierCase& tier = GetParam();
+  const TierExport out = run_tier(tier);
+  EXPECT_EQ(out.mode, tier.mode);
+  EXPECT_EQ(out.metrics_json,
+            read_golden(std::string("tier_") + tier.name + ".metrics.json"));
+  EXPECT_EQ(out.trace_json,
+            read_golden(std::string("tier_") + tier.name + ".trace.json"));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Tiers, TierExports,
+    ::testing::Values(
+        TierCase{"no_cache", false, 1e18, false, CacheMode::None},
+        TierCase{"local_disk", true, 1e18, false, CacheMode::LocalDisk},
+        TierCase{"cache_site", true, 1.0, true, CacheMode::NonLocalSite},
+        TierCase{"refetch", true, 1.0, false, CacheMode::None}),
+    [](const ::testing::TestParamInfo<TierCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---------------------------------------------------------------- overlap
 
