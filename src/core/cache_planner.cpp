@@ -8,28 +8,25 @@ namespace fgp::core {
 
 namespace {
 
-/// Retrieval time of `bytes` over `chunks` chunks spread across `nodes`
-/// nodes of `cluster` (even distribution, same formula as the runtime).
+/// Retrieval time of `bytes` over `chunks` chunks spread evenly across
+/// `nodes` nodes of `cluster`: the runtime's disk formula, charged for the
+/// mean per-node share.
 double retrieval_s(const sim::ClusterSpec& cluster, int nodes, double bytes,
                    std::uint64_t chunks) {
-  const double per_node_bytes = bytes / static_cast<double>(nodes);
-  const double per_node_chunks =
-      static_cast<double>(chunks) / static_cast<double>(nodes);
-  return cluster.machine.disk.startup_s +
-         per_node_chunks * cluster.machine.disk.seek_s +
-         per_node_bytes / cluster.per_node_retrieval_Bps(nodes);
+  const auto share = static_cast<double>(nodes);
+  return cluster.machine.disk.access_time(
+      bytes / share, static_cast<double>(chunks) / share,
+      cluster.per_node_retrieval_Bps(nodes));
 }
 
 /// Movement time of `bytes` over `chunks` messages from `senders` nodes
-/// with NICs of `sender` machine through `wan`.
+/// with NICs of `sender` machine through `wan`: the runtime's WAN formula,
+/// charged for the mean per-node share.
 double movement_s(const sim::WanSpec& wan, const sim::MachineSpec& sender,
                   int senders, double bytes, std::uint64_t chunks) {
-  const double per_node_bytes = bytes / static_cast<double>(senders);
-  const double per_node_chunks =
-      static_cast<double>(chunks) / static_cast<double>(senders);
-  return per_node_chunks * wan.latency_s +
-         per_node_bytes / wan.per_sender_bandwidth(senders,
-                                                   sender.nic.bandwidth_Bps);
+  const auto share = static_cast<double>(senders);
+  return wan.transfer_time(bytes / share, static_cast<double>(chunks) / share,
+                           senders, sender.nic.bandwidth_Bps);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include "freeride/config.h"
 
+#include <cmath>
+#include <string>
+
 #include "util/check.h"
 
 namespace fgp::freeride {
@@ -22,8 +25,12 @@ void JobConfig::validate() const {
     throw util::ConfigError("max_passes must be positive");
   if (straggler_count < 0 || straggler_count > compute_nodes)
     throw util::ConfigError("straggler_count must be in [0, compute_nodes]");
-  if (straggler_slowdown < 1.0)
-    throw util::ConfigError("straggler_slowdown must be >= 1.0");
+  // Written so NaN fails too: `NaN < 1.0` is false, and a NaN node time
+  // would vanish from the phase's std::max.
+  if (!std::isfinite(straggler_slowdown) || straggler_slowdown < 1.0)
+    throw util::ConfigError("straggler_slowdown must be finite and >= 1.0");
+  if (std::isnan(local_cache_capacity_bytes) || local_cache_capacity_bytes < 0.0)
+    throw util::ConfigError("local_cache_capacity_bytes must be >= 0");
 }
 
 }  // namespace fgp::freeride

@@ -54,7 +54,8 @@ struct JobConfig {
 
   /// Throws util::ConfigError when the configuration violates the
   /// middleware's documented constraints (positive counts, c >= n — the
-  /// paper's "M >= N" rule, sane pass cap).
+  /// paper's "M >= N" rule, sane pass cap, a finite straggler slowdown
+  /// >= 1, a cache capacity that is not NaN and not below 0).
   void validate() const;
 };
 

@@ -1,7 +1,6 @@
 #include "freeride/runtime.h"
 
 #include <algorithm>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,6 +39,44 @@ std::vector<NodeVolume> volumes(const repository::ChunkedDataset& ds,
     }
   }
   return v;
+}
+
+// Every data tier (repository, local disk, cache site) charges its reads
+// and its transfers through these two: one segment per node that holds
+// chunks, and the phase takes as long as the slowest node (DESIGN.md §4).
+
+/// The slowest node's read (or write) of its volume at `bw` bytes/s.
+double read_time(const std::vector<NodeVolume>& volumes,
+                 const sim::DiskSpec& disk, double bw) {
+  double t = 0.0;
+  for (const auto& v : volumes) {
+    if (v.chunks == 0) continue;
+    t = std::max(t, disk.access_time(v.virtual_bytes,
+                                     static_cast<double>(v.chunks), bw));
+  }
+  return t;
+}
+
+/// The slowest sender's transfer of its volume over `wan`, one message per
+/// chunk. Each transfer adds to wan.<pipe>.{bytes,messages,transfers}.
+double send_time(const std::vector<NodeVolume>& volumes,
+                 const sim::WanSpec& wan, double nic_Bps,
+                 obs::Registry* metrics, const char* pipe) {
+  const int senders = static_cast<int>(volumes.size());
+  const std::string base = std::string("wan.") + pipe;
+  double t = 0.0;
+  for (const auto& v : volumes) {
+    if (v.chunks == 0) continue;
+    const auto messages = static_cast<double>(v.chunks);
+    t = std::max(t, wan.transfer_time(v.virtual_bytes, messages, senders,
+                                      nic_Bps));
+    if (metrics != nullptr) {
+      metrics->add(base + ".bytes", v.virtual_bytes);
+      metrics->add(base + ".messages", messages);
+      metrics->add(base + ".transfers", 1.0);
+    }
+  }
+  return t;
 }
 
 }  // namespace
@@ -89,32 +126,20 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
   const sim::InterconnectSpec& ipc = setup.compute_cluster.interconnect;
 
   RunResult result;
-  CacheSet caches(c, setup.metrics);
   obs::TraceRecorder* const trace = setup.trace;
   obs::Registry* const metrics = setup.metrics;
   const obs::HostSpan run_span(trace, "runtime", "run");
 
-  // WAN counter handles, resolved on first use (one map walk per pipe per
-  // run instead of three per node per phase).
-  const sim::WanMeter repo_pipe(metrics, "repo-compute");
-  const sim::WanMeter cache_pipe(metrics, "cache-compute");
-  const sim::WanMeter forward_pipe(metrics, "compute-cache");
   // Virtual-time cursor for the trace: passes (and phases within a pass)
   // are laid out additively, matching TimingBreakdown::total(). With
   // overlap_phases the *elapsed* accounting shrinks but the decomposition
   // — which is what the trace visualizes — is unchanged.
   double vclock = 0.0;
 
-  // Host thread pool for the local-reduction phase: either borrowed from
-  // the caller (shared across concurrent runs) or owned for this run. One
-  // pool serves every pass; the work partition never depends on its size,
-  // so any pool (or none) yields bit-identical results.
-  util::ThreadPool* pool = shared_pool_;
-  std::optional<util::ThreadPool> owned_pool;
-  if (pool == nullptr && pool_threads_ > 1) {
-    owned_pool.emplace(pool_threads_);
-    pool = &*owned_pool;
-  }
+  // Host thread pool for the local-reduction phase, borrowed from the
+  // caller. One pool serves every pass; the work partition never depends
+  // on its size, so any pool (or none) yields bit-identical results.
+  util::ThreadPool* const pool = pool_;
 
   // Decide how later passes of a multi-pass job will be served: local disk
   // when the compute nodes can hold their share, otherwise a non-local
@@ -141,6 +166,15 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
       PartitionMap::block(ds.chunk_count(), cache_nodes);
   const auto cache_vol = volumes(ds, cache_part);
 
+  // Each tier's read rate: the repository's and the cache site's nodes
+  // share their storage backplane; a compute node reads its own disk.
+  const double repo_bw = setup.data_cluster.per_node_retrieval_Bps(n);
+  const double local_bw = compute_machine.disk.effective_bandwidth();
+  const double site_bw =
+      cache_mode == CacheMode::NonLocalSite
+          ? setup.cache_site->cluster.per_node_retrieval_Bps(cache_nodes)
+          : 0.0;
+
   // Per-job scratch reused across passes: the per-node object slots,
   // per-node time/work vectors, SMP thread scratch, and the gather-phase
   // serialization buffer. A multi-pass job otherwise re-allocates all of
@@ -162,51 +196,19 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
   std::vector<NodeScratch> scratch(static_cast<std::size_t>(c));
   util::ByteWriter gather;
 
+  // Set by the first pass, which reads from the repository and, under a
+  // cache mode, writes every chunk to the cache tier that later passes
+  // read from.
+  bool cache_warm = false;
   bool more_passes = true;
   while (more_passes && result.passes < cfg.max_passes) {
     PassRecord rec;
-    const bool cached_pass = cache_mode != CacheMode::None && caches.warm();
+    const bool cached_pass = cache_mode != CacheMode::None && cache_warm;
     rec.from_cache = cached_pass;
 
-    // --- Phase 1: data retrieval -------------------------------------
-    // Every node with chunks to read charges one retrieval segment; the
-    // phase takes as long as its slowest node (DESIGN.md §4).
-    if (cached_pass && cache_mode == CacheMode::LocalDisk) {
-      // Each compute node reads its chunks back from local disk.
-      for (int j = 0; j < c; ++j) {
-        const auto& cache = caches.node(j);
-        if (cache.chunk_count() == 0) continue;
-        rec.timing.disk = std::max(
-            rec.timing.disk, compute_machine.disk.access_time(
-                                 cache.virtual_bytes(), cache.chunk_count()));
-      }
-    } else if (cached_pass) {
-      // The non-local cache site's nodes read their partitions.
-      const auto& site = *setup.cache_site;
-      const double bw = site.cluster.per_node_retrieval_Bps(cache_nodes);
-      for (int d = 0; d < cache_nodes; ++d) {
-        const auto& v = cache_vol[static_cast<std::size_t>(d)];
-        if (v.chunks == 0) continue;
-        rec.timing.disk = std::max(
-            rec.timing.disk, site.cluster.machine.disk.startup_s +
-                                 static_cast<double>(v.chunks) *
-                                     site.cluster.machine.disk.seek_s +
-                                 v.virtual_bytes / bw);
-      }
-    } else {
-      // Each data-server node reads its partition; the shared storage
-      // backplane caps aggregate throughput.
-      const double bw = setup.data_cluster.per_node_retrieval_Bps(n);
-      for (int d = 0; d < n; ++d) {
-        const auto& v = data_vol[static_cast<std::size_t>(d)];
-        if (v.chunks == 0) continue;
-        rec.timing.disk = std::max(
-            rec.timing.disk, data_machine.disk.startup_s +
-                                 static_cast<double>(v.chunks) *
-                                     data_machine.disk.seek_s +
-                                 v.virtual_bytes / bw);
-      }
-
+    // --- Phases 1-2: data retrieval and data communication -----------
+    if (!cached_pass) {
+      rec.timing.disk = read_time(data_vol, data_machine.disk, repo_bw);
       if (result.passes == 0) {
         // Verify chunk checksums on receipt (the data-communication role).
         // Checksums are independent per chunk, so the sweep fans out over
@@ -228,73 +230,49 @@ RunResult Runtime::run(const JobSetup& setup, ReductionKernel& kernel) const {
             verify_chunk(ci);
         }
       }
-    }
+      rec.timing.network =
+          send_time(data_vol, setup.wan, data_machine.nic.bandwidth_Bps,
+                    metrics, "repo-compute");
 
-    // --- Phase 2: data communication ---------------------------------
-    // One transfer segment per sending node; the slowest sets the phase
-    // time. Cache population rides along on the first pass: its slowest
-    // forward transfer and slowest cache write (cache_tx / cache_tw) add
-    // onto the network and disk totals.
-    double cache_tx = 0.0, cache_tw = 0.0;
-    if (cached_pass && cache_mode == CacheMode::NonLocalSite) {
-      // Cache site -> compute nodes over the cache pipe.
-      const auto& site = *setup.cache_site;
-      for (int d = 0; d < cache_nodes; ++d) {
-        const auto& v = cache_vol[static_cast<std::size_t>(d)];
-        if (v.chunks == 0) continue;
-        rec.timing.network = std::max(
-            rec.timing.network,
-            cache_pipe.transfer(site.wan_to_compute, v.virtual_bytes,
-                                v.chunks, cache_nodes,
-                                site.cluster.machine.nic.bandwidth_Bps));
-      }
-    } else if (!cached_pass) {
-      for (int d = 0; d < n; ++d) {
-        const auto& v = data_vol[static_cast<std::size_t>(d)];
-        if (v.chunks == 0) continue;
-        rec.timing.network = std::max(
-            rec.timing.network,
-            repo_pipe.transfer(setup.wan, v.virtual_bytes, v.chunks, n,
-                               data_machine.nic.bandwidth_Bps));
-      }
-
-      // Populate the cache during the first pass.
-      if (cache_mode == CacheMode::LocalDisk && !caches.warm()) {
-        for (int j = 0; j < c; ++j) {
-          // Chunk views are by-value handles onto the shared payload slabs:
-          // the cache ends up holding the actual data without copying it.
-          for (std::size_t ci : dest_part.chunks_of(j))
-            caches.insert(j, ds.chunk(ci));
-          const auto& v = dest_vol[static_cast<std::size_t>(j)];
-          if (v.chunks > 0)
-            cache_tw = std::max(cache_tw, compute_machine.disk.access_time(
-                                              v.virtual_bytes, v.chunks));
+      // The first pass populates the cache: each compute node writes its
+      // whole share to local disk, or the stream is forwarded to the
+      // cache site and written there. The slowest write (and forward)
+      // adds onto the pass's disk (and network) time.
+      if (cache_mode == CacheMode::LocalDisk) {
+        if (metrics != nullptr) {
+          for (int j = 0; j < c; ++j) {
+            for (std::size_t ci : dest_part.chunks_of(j)) {
+              metrics->add("cache.inserted_chunks", 1.0);
+              metrics->add("cache.inserted_bytes",
+                           ds.chunk(ci).virtual_bytes());
+            }
+          }
         }
-        caches.mark_warm();
-      } else if (cache_mode == CacheMode::NonLocalSite && !caches.warm()) {
-        // Forward the stream to the cache site and write it there.
+        rec.timing.disk += read_time(dest_vol, compute_machine.disk, local_bw);
+      } else if (cache_mode == CacheMode::NonLocalSite) {
         const auto& site = *setup.cache_site;
-        const double write_bw =
-            site.cluster.per_node_retrieval_Bps(cache_nodes);
-        for (int d = 0; d < cache_nodes; ++d) {
-          const auto& v = cache_vol[static_cast<std::size_t>(d)];
-          if (v.chunks == 0) continue;
-          cache_tx = std::max(
-              cache_tx, forward_pipe.transfer(site.wan_to_compute,
-                                              v.virtual_bytes, v.chunks,
-                                              cache_nodes,
-                                              compute_machine.nic.bandwidth_Bps));
-          cache_tw = std::max(cache_tw,
-                              site.cluster.machine.disk.startup_s +
-                                  static_cast<double>(v.chunks) *
-                                      site.cluster.machine.disk.seek_s +
-                                  v.virtual_bytes / write_bw);
-        }
-        caches.mark_warm();
+        rec.timing.network +=
+            send_time(cache_vol, site.wan_to_compute,
+                      compute_machine.nic.bandwidth_Bps, metrics,
+                      "compute-cache");
+        rec.timing.disk +=
+            read_time(cache_vol, site.cluster.machine.disk, site_bw);
       }
+      cache_warm = true;
+    } else if (cache_mode == CacheMode::LocalDisk) {
+      // Each compute node reads its share back from local disk.
+      rec.timing.disk = read_time(dest_vol, compute_machine.disk, local_bw);
+    } else {
+      // The cache site's nodes read their partitions and ship them over
+      // the cache pipe.
+      const auto& site = *setup.cache_site;
+      rec.timing.disk =
+          read_time(cache_vol, site.cluster.machine.disk, site_bw);
+      rec.timing.network =
+          send_time(cache_vol, site.wan_to_compute,
+                    site.cluster.machine.nic.bandwidth_Bps, metrics,
+                    "cache-compute");
     }
-    rec.timing.network += cache_tx;
-    rec.timing.disk += cache_tw;
 
     // --- Phase 3a: parallel local reduction --------------------------
     // Each compute node runs `threads` workers (cluster-of-SMPs support).

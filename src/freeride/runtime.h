@@ -14,7 +14,6 @@
 #include <memory>
 #include <optional>
 
-#include "freeride/cache.h"
 #include "freeride/config.h"
 #include "freeride/reduction.h"
 #include "freeride/timing.h"
@@ -82,25 +81,18 @@ struct RunResult {
 
 class Runtime {
  public:
-  /// A serial runtime: every simulated node runs inline on the caller.
-  Runtime() = default;
-
-  /// pool_threads > 1 runs the two-level reduction (compute nodes, and
-  /// chunk blocks within each node) on an owned host thread pool
-  /// (util::ThreadPool). Virtual time, reduction objects and predictions
-  /// are bit-identical for every pool size — the chunk-block partition is
-  /// a pure function of the chunk list, so the pool only shortens host
-  /// wall-clock time; tests/test_determinism.cpp enforces this at 1, 2
-  /// and 8 threads (DESIGN.md §11).
-  explicit Runtime(std::size_t pool_threads)
-      : pool_threads_(pool_threads == 0 ? 1 : pool_threads) {}
-
-  /// Borrows an existing pool instead of owning one — lets many Runtime
-  /// instances (e.g. a bench::SweepRunner's concurrent configurations)
-  /// share one set of host workers. `pool` must outlive the Runtime and
-  /// may be null (serial). ThreadPool::parallel_for nests safely, so a
-  /// run() executing *on* `pool` may still fan out over it.
-  explicit Runtime(util::ThreadPool* pool) : shared_pool_(pool) {}
+  /// Runs the two-level reduction (compute nodes, and chunk blocks within
+  /// each node) on a borrowed host thread pool, or inline on the caller
+  /// when `pool` is null (the serial runtime). Many Runtime instances
+  /// (e.g. a bench::SweepRunner's concurrent configurations) may share one
+  /// pool, which must outlive them; ThreadPool::parallel_for nests safely,
+  /// so a run() executing *on* `pool` may still fan out over it. Virtual
+  /// time, reduction objects and predictions are bit-identical for every
+  /// pool size — the chunk-block partition is a pure function of the
+  /// chunk list, so the pool only shortens host wall-clock time;
+  /// tests/test_determinism.cpp enforces this at 1, 2 and 8 threads
+  /// (DESIGN.md §11).
+  explicit Runtime(util::ThreadPool* pool = nullptr) : pool_(pool) {}
 
   /// Runs `kernel` over `setup`. Throws util::ConfigError for invalid
   /// configurations or cluster/WAN/cache-site specs, and util::Error for
@@ -111,8 +103,7 @@ class Runtime {
   RunResult run(const JobSetup& setup, ReductionKernel& kernel) const;
 
  private:
-  std::size_t pool_threads_ = 1;
-  util::ThreadPool* shared_pool_ = nullptr;
+  util::ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace fgp::freeride

@@ -59,19 +59,6 @@ void Registry::add(std::string_view name, double v, Domain domain) {
   metric_locked(domain, name, Kind::Counter).value += v;
 }
 
-void Registry::Counter::add(double v) const {
-  if (metric_ == nullptr) return;
-  std::lock_guard lock(owner_->mu_);
-  metric_->value += v;
-}
-
-Registry::Counter Registry::counter(Registry* registry, std::string_view name,
-                                    Domain domain) {
-  if (registry == nullptr) return {};
-  std::lock_guard lock(registry->mu_);
-  return {registry, &registry->metric_locked(domain, name, Kind::Counter)};
-}
-
 void Registry::set(std::string_view name, double v, Domain domain) {
   std::lock_guard lock(mu_);
   metric_locked(domain, name, Kind::Gauge).value = v;

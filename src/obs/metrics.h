@@ -45,43 +45,11 @@ struct Histogram {
 };
 
 class Registry {
- private:
-  struct Metric;  // defined below; named early for the Counter handle
-
  public:
   /// Counter: accumulates. Concurrent deterministic-domain use is only
   /// byte-stable for integral increments (see header comment).
   void add(std::string_view name, double v,
            Domain domain = Domain::Deterministic);
-
-  /// A pre-resolved counter: the name -> metric map lookup (O(log n) plus
-  /// a string materialization) happens once, in counter(); every add()
-  /// through the handle is then a lock + one double accumulation. Hot
-  /// loops that bump the same counter per simulated node — the WAN pipe
-  /// accounting at 1,000+ nodes — hold handles instead of names. The
-  /// accumulation order through a handle is exactly the order of the
-  /// add() calls, so deterministic-domain byte-identity is unchanged.
-  /// A handle stays valid until clear() (std::map nodes are stable);
-  /// a default-constructed (or null-registry) handle drops every add.
-  class Counter {
-   public:
-    Counter() = default;
-    void add(double v) const;
-    bool live() const { return metric_ != nullptr; }
-
-   private:
-    friend class Registry;
-    Counter(Registry* owner, Metric* metric)
-        : owner_(owner), metric_(metric) {}
-    Registry* owner_ = nullptr;
-    Metric* metric_ = nullptr;
-  };
-
-  /// Resolves (creating if absent) a counter handle. Null-safe: a null
-  /// `registry` yields an inert handle, so call sites keep the
-  /// "observability off is one branch" property.
-  static Counter counter(Registry* registry, std::string_view name,
-                         Domain domain = Domain::Deterministic);
 
   /// Gauge: last write wins.
   void set(std::string_view name, double v,

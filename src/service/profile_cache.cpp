@@ -72,9 +72,4 @@ std::shared_ptr<const CompiledApp> ProfileCache::resolve(
   return entry.compiled;
 }
 
-std::size_t ProfileCache::registered_apps() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return apps_.size();
-}
-
 }  // namespace fgp::service

@@ -88,8 +88,6 @@ class ProfileCache {
       unsigned long long* hit = nullptr,
       unsigned long long* miss = nullptr);
 
-  std::size_t registered_apps() const;
-
  private:
   struct AppEntry {
     core::Profile profile;
@@ -98,7 +96,7 @@ class ProfileCache {
     std::shared_ptr<const CompiledApp> compiled;  ///< null until first use
   };
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::map<std::string, AppEntry> apps_;
 };
 

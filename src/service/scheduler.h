@@ -42,8 +42,6 @@ struct Placement {
   double predicted_exec_s = 0.0;
   double actual_exec_s = 0.0;
   double finish_s = 0.0;  ///< start + actual execution
-
-  double turnaround_s(double submit) const { return finish_s - submit; }
 };
 
 enum class SchedulingPolicy {

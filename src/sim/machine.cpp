@@ -50,11 +50,10 @@ void MachineSpec::validate() const {
   nic.validate();
 }
 
-double DiskSpec::access_time(double bytes, std::uint64_t chunks) const {
+double DiskSpec::access_time(double bytes, double chunks, double bw) const {
   FGP_CHECK(bytes >= 0.0);
-  const double bw = effective_bandwidth();
   FGP_CHECK_MSG(bw > 0.0, "disk bandwidth must be positive");
-  return startup_s + static_cast<double>(chunks) * seek_s + bytes / bw;
+  return startup_s + chunks * seek_s + bytes / bw;
 }
 
 double MachineSpec::compute_time(const Work& w) const {

@@ -11,7 +11,6 @@
 // error (observed per-app factors ranged 0.233–0.370).
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 namespace fgp::sim {
@@ -44,8 +43,13 @@ struct DiskSpec {
   double startup_s = 0.01;      ///< per-phase fixed cost
 
   double effective_bandwidth() const { return bandwidth_Bps * disks; }
-  /// Time to read (or write) `chunks` chunks totalling `bytes` bytes.
-  double access_time(double bytes, std::uint64_t chunks) const;
+  /// Time for one node to read (or write) `chunks` chunks totalling
+  /// `bytes` bytes at `bw` bytes/s: its own effective_bandwidth(), or its
+  /// cluster's backplane-capped per_node_retrieval_Bps(). The one disk
+  /// formula: every data tier and the cache planner charge through it
+  /// (DESIGN.md §4). `chunks` is a double so the planner's mean per-node
+  /// share passes through unrounded.
+  double access_time(double bytes, double chunks, double bw) const;
 
   /// Throws util::ConfigError on non-finite, negative or zero rates (and
   /// non-finite/negative fixed costs): a NaN bandwidth poisons every

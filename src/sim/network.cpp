@@ -4,7 +4,6 @@
 #include <cmath>
 #include <string>
 
-#include "obs/metrics.h"
 #include "sim/machine.h"
 #include "util/check.h"
 
@@ -29,32 +28,11 @@ double WanSpec::per_sender_bandwidth(int senders, double sender_nic_Bps) const {
   return raw * (1.0 - protocol_overhead);
 }
 
-double WanSpec::transfer_time(double bytes, std::uint64_t messages, int senders,
+double WanSpec::transfer_time(double bytes, double messages, int senders,
                               double sender_nic_Bps) const {
   FGP_CHECK(bytes >= 0.0);
   const double bw = per_sender_bandwidth(senders, sender_nic_Bps);
-  return static_cast<double>(messages) * latency_s + bytes / bw;
-}
-
-WanMeter::WanMeter(obs::Registry* metrics, std::string_view pipe)
-    : registry_(metrics), base_("wan." + std::string(pipe)) {}
-
-double WanMeter::transfer(const WanSpec& wan, double bytes,
-                          std::uint64_t messages, int senders,
-                          double sender_nic_Bps) const {
-  const double t = wan.transfer_time(bytes, messages, senders, sender_nic_Bps);
-  if (registry_ != nullptr) {
-    if (!resolved_) {
-      bytes_ = obs::Registry::counter(registry_, base_ + ".bytes");
-      messages_ = obs::Registry::counter(registry_, base_ + ".messages");
-      transfers_ = obs::Registry::counter(registry_, base_ + ".transfers");
-      resolved_ = true;
-    }
-    bytes_.add(bytes);
-    messages_.add(static_cast<double>(messages));
-    transfers_.add(1.0);
-  }
-  return t;
+  return messages * latency_s + bytes / bw;
 }
 
 WanSpec wan_kbps(double kbps) {

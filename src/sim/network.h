@@ -10,12 +10,6 @@
 // Figures 9 and 10 of the paper vary b synthetically (500 and 250 Kbps).
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <string_view>
-
-#include "obs/metrics.h"
-
 namespace fgp::sim {
 
 /// WAN between repository and compute clusters.
@@ -34,8 +28,11 @@ struct WanSpec {
   double per_sender_bandwidth(int senders, double sender_nic_Bps) const;
 
   /// Time for one sender (among `senders` concurrent ones) to push
-  /// `bytes` bytes split over `messages` messages.
-  double transfer_time(double bytes, std::uint64_t messages, int senders,
+  /// `bytes` bytes split over `messages` messages. The one WAN formula:
+  /// the runtime's repository and cache-site pipes and the cache planner
+  /// all charge through it (DESIGN.md §4). `messages` is a double so the
+  /// planner's mean per-node share passes through unrounded.
+  double transfer_time(double bytes, double messages, int senders,
                        double sender_nic_Bps) const;
 
   /// Throws util::ConfigError on non-finite, negative or zero rates
@@ -43,38 +40,6 @@ struct WanSpec {
   /// a protocol_overhead outside [0, 1) — an overhead of 1 zeroes the
   /// effective bandwidth and every transfer takes forever.
   void validate() const;
-};
-
-/// WanSpec::transfer_time plus metric accounting for one logical WAN pipe
-/// (`pipe` names the link, e.g. "repo-compute" or "cache-compute"). Each
-/// transfer bumps the deterministic counters
-///   wan.<pipe>.bytes / wan.<pipe>.messages / wan.<pipe>.transfers
-/// Byte/message counts are integral, so the totals are exact in any order.
-/// The counter handles resolve on the first transfer(), so a pipe that
-/// never moves a byte never creates its metrics, and afterwards every call
-/// is a lock plus one accumulation per counter — no name building or map
-/// walk per node per phase. Not safe to share one meter across threads
-/// (the runtime meters from its master thread only).
-class WanMeter {
- public:
-  /// A disconnected meter: transfer() is exactly WanSpec::transfer_time.
-  WanMeter() = default;
-
-  /// Meters wan.<pipe>.{bytes,messages,transfers} on `metrics`.
-  /// Null-registry safe (yields a disconnected meter).
-  WanMeter(obs::Registry* metrics, std::string_view pipe);
-
-  /// WanSpec::transfer_time plus the three counter bumps.
-  double transfer(const WanSpec& wan, double bytes, std::uint64_t messages,
-                  int senders, double sender_nic_Bps) const;
-
- private:
-  obs::Registry* registry_ = nullptr;
-  std::string base_;
-  mutable obs::Registry::Counter bytes_;
-  mutable obs::Registry::Counter messages_;
-  mutable obs::Registry::Counter transfers_;
-  mutable bool resolved_ = false;
 };
 
 /// Convenience constructors matching the paper's setups.

@@ -39,43 +39,6 @@ inline double combine(double l0, double l1, double l2, double l3) {
   return (l0 + l1) + (l2 + l3);
 }
 
-/// Blocked squared Euclidean distance |a - b|^2 over d coordinates.
-inline double squared_distance(const double* a, const double* b,
-                               std::size_t d) {
-  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-  std::size_t j = 0;
-  for (; j + kLanes <= d; j += kLanes) {
-    const double d0 = a[j] - b[j];
-    const double d1 = a[j + 1] - b[j + 1];
-    const double d2 = a[j + 2] - b[j + 2];
-    const double d3 = a[j + 3] - b[j + 3];
-    l0 += d0 * d0;
-    l1 += d1 * d1;
-    l2 += d2 * d2;
-    l3 += d3 * d3;
-  }
-  switch (d - j) {  // tail folds into the lanes in index order
-    case 3: {
-      const double d2t = a[j + 2] - b[j + 2];
-      l2 += d2t * d2t;
-      [[fallthrough]];
-    }
-    case 2: {
-      const double d1t = a[j + 1] - b[j + 1];
-      l1 += d1t * d1t;
-      [[fallthrough]];
-    }
-    case 1: {
-      const double d0t = a[j] - b[j];
-      l0 += d0t * d0t;
-      break;
-    }
-    default:
-      break;
-  }
-  return combine(l0, l1, l2, l3);
-}
-
 /// Serial-order squared distance: one accumulator, coordinates in index
 /// order — the exact bits of the pre-blocking scalar loop. This is the
 /// per-point order of the tiled distance kernels and their references.

@@ -2,8 +2,8 @@
 // regardless of how much *host* parallelism executes it, or measured
 // profiles become noisy and the paper's prediction model stops being
 // falsifiable. Runs every figure-style workload shape end-to-end on the
-// serial runtime and on host pools of 2 and 8 threads (plus 1 and a
-// borrowed pool where chunk blocks split) and asserts that
+// serial runtime and on borrowed host pools of 2 and 8 threads (plus 1
+// where chunk blocks split) and asserts that
 // the final reduction objects, every virtual-time component, the
 // deterministic trace/metrics exports, the resulting predictions and the
 // residual report are bit-identical (not merely approximately equal).
@@ -120,14 +120,16 @@ RunFingerprint fingerprint_run(const freeride::Runtime& runtime,
   return fp;
 }
 
-/// The serial runtime is the reference: owned pools of 2 and 8 threads
+/// The serial runtime is the reference: borrowed pools of 2 and 8 threads
 /// must reproduce its fingerprint byte for byte. Returns the reference.
 RunFingerprint expect_identical_across_pools(
     const std::function<RunFingerprint(const freeride::Runtime&)>& run) {
   RunFingerprint serial = run(freeride::Runtime());
-  for (const std::size_t pool : {2, 8})
-    expect_identical(serial, run(freeride::Runtime(pool)),
-                     "serial vs pool of " + std::to_string(pool));
+  for (const std::size_t threads : {2, 8}) {
+    util::ThreadPool pool(threads);
+    expect_identical(serial, run(freeride::Runtime(&pool)),
+                     "serial vs pool of " + std::to_string(threads));
+  }
   return serial;
 }
 
@@ -228,8 +230,8 @@ TEST(Determinism, MultiBlockReductionMatchesSerialRuntime) {
   // Enough chunks per compute node (48 chunks over 4 nodes = 12, well
   // above the 4-chunk block size) that the two-level reduction genuinely
   // splits every node into several chunk blocks. The default serial
-  // Runtime() must produce the same bits as every pooled variant — owned
-  // pools of each size and a borrowed shared pool (DESIGN.md §11).
+  // Runtime() must produce the same bits as a borrowed pool of each size
+  // (DESIGN.md §11).
   datagen::PointsSpec spec;
   spec.num_points = 4800;
   spec.dim = 4;
@@ -245,12 +247,11 @@ TEST(Determinism, MultiBlockReductionMatchesSerialRuntime) {
   };
 
   const RunFingerprint serial = run_with(freeride::Runtime());
-  for (const std::size_t pool : kPoolSizes)
-    expect_identical(serial, run_with(freeride::Runtime(pool)),
-                     "serial vs owned pool of " + std::to_string(pool));
-  util::ThreadPool shared(2);
-  expect_identical(serial, run_with(freeride::Runtime(&shared)),
-                   "serial vs borrowed shared pool");
+  for (const std::size_t threads : kPoolSizes) {
+    util::ThreadPool pool(threads);
+    expect_identical(serial, run_with(freeride::Runtime(&pool)),
+                     "serial vs pool of " + std::to_string(threads));
+  }
 }
 
 /// ext01-style cluster-of-SMPs on 2-4 nodes of 4 threads each: the

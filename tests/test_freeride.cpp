@@ -8,11 +8,11 @@
 #include <memory>
 #include <vector>
 
-#include "freeride/cache.h"
 #include "freeride/config.h"
 #include "freeride/runtime.h"
 #include "helpers.h"
 #include "repository/payload.h"
+#include "util/thread_pool.h"
 
 namespace fgp::freeride {
 namespace {
@@ -53,46 +53,18 @@ TEST(JobConfig, RejectsNonPositiveCounts) {
   EXPECT_THROW(cfg.validate(), util::ConfigError);
 }
 
-// ------------------------------------------------------------------ cache
-
-/// A one-byte chunk whose virtual size is exactly `virtual_bytes`.
-repository::Chunk cache_chunk(repository::ChunkId id, double virtual_bytes) {
-  return repository::Chunk(id, std::vector<std::uint8_t>{0xab}, virtual_bytes);
-}
-
-TEST(NodeCache, TracksChunksAndBytes) {
-  NodeCache cache;
-  cache.insert(cache_chunk(1, 100.0));
-  cache.insert(cache_chunk(2, 50.0));
-  cache.insert(cache_chunk(1, 100.0));  // duplicate ignored
-  EXPECT_EQ(cache.chunk_count(), 2u);
-  EXPECT_DOUBLE_EQ(cache.virtual_bytes(), 150.0);
-  EXPECT_TRUE(cache.contains(1));
-  EXPECT_FALSE(cache.contains(3));
-  cache.clear();
-  EXPECT_EQ(cache.chunk_count(), 0u);
-}
-
-TEST(NodeCache, HoldsSharedPayloadViewsNotCopies) {
-  // Caching a chunk stores a handle onto the dataset's immutable slab
-  // (DESIGN.md §13): the cached view aliases the source payload bytes.
-  const auto src = repository::make_chunk<double>(7, {1, 2, 3}, 2.0);
-  NodeCache cache;
-  cache.insert(src);
-  ASSERT_EQ(cache.chunk_count(), 1u);
-  EXPECT_EQ(cache.chunks().front().payload().data(), src.payload().data());
-  EXPECT_EQ(cache.chunks().front().payload_buffer().get(),
-            src.payload_buffer().get());
-}
-
-TEST(CacheSet, PerNodeIsolation) {
-  CacheSet set(3);
-  set.node(0).insert(cache_chunk(1, 10.0));
-  EXPECT_FALSE(set.node(1).contains(1));
-  EXPECT_THROW(set.node(3), util::Error);
-  EXPECT_FALSE(set.warm());
-  set.mark_warm();
-  EXPECT_TRUE(set.warm());
+TEST(JobConfig, RejectsNanOrNegativeCacheCapacity) {
+  // A NaN capacity would silently turn local caching off.
+  JobConfig cfg;
+  for (const double capacity :
+       {std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    cfg.local_cache_capacity_bytes = capacity;
+    EXPECT_THROW(cfg.validate(), util::ConfigError) << capacity;
+  }
+  cfg.local_cache_capacity_bytes = 0.0;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.local_cache_capacity_bytes = std::numeric_limits<double>::infinity();
+  EXPECT_NO_THROW(cfg.validate());
 }
 
 // ---------------------------------------------------------------- runtime
@@ -377,6 +349,29 @@ TEST(Runtime, FirstCachedPassChargesTheCacheWrite) {
             without.timing.passes[0].timing.disk);
 }
 
+TEST(Runtime, CachedPassReadsTheWholeShare) {
+  // Eight chunks that all carry id 0: a cached pass reads back each
+  // compute node's whole 4-chunk share, exactly what pass 0 wrote.
+  repository::ChunkedDataset ds(repository::DatasetMeta{"same-id", "f64", 0});
+  for (int c = 0; c < 8; ++c)
+    ds.add_chunk(repository::make_chunk<double>(
+        0, std::vector<double>(64, 1.0), 10000.0));
+  SumKernelParams p;
+  p.passes = 2;
+  SumKernel kernel(p);
+  auto setup = pentium_setup(&ds, 1, 2);
+  setup.config.enable_caching = true;
+  const auto result = Runtime().run(setup, kernel);
+  ASSERT_EQ(result.cache_mode, CacheMode::LocalDisk);
+  ASSERT_EQ(result.timing.passes.size(), 2u);
+  ASSERT_TRUE(result.timing.passes[1].from_cache);
+  const sim::DiskSpec& disk = setup.compute_cluster.machine.disk;
+  const double share_bytes = 4.0 * ds.chunk(0).virtual_bytes();
+  EXPECT_DOUBLE_EQ(result.timing.passes[1].timing.disk,
+                   disk.access_time(share_bytes, 4.0,
+                                    disk.effective_bandwidth()));
+}
+
 // ------------------------------------------------------- failure injection
 
 TEST(Runtime, CorruptedResidentChunkFailsTheRun) {
@@ -399,8 +394,9 @@ TEST(Runtime, CorruptedResidentChunkFailsTheRun) {
   for (const std::size_t threads : {1, 2, 8}) {
     const auto setup = pentium_setup(&ds, 2, 4);
     SumKernel kernel;
+    util::ThreadPool pool(threads);
     try {
-      (void)Runtime(threads).run(setup, kernel);
+      (void)Runtime(&pool).run(setup, kernel);
       ADD_FAILURE() << "run succeeded; threads=" << threads;
     } catch (const util::Error& e) {
       EXPECT_NE(std::string(e.what()).find("chunk 5 failed checksum"),

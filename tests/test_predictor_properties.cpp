@@ -4,6 +4,8 @@
 // model independent of any particular workload.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/ipc_probe.h"
 #include "core/predictor.h"
 #include "core/profile.h"
@@ -178,8 +180,11 @@ TEST(Stragglers, ConfigValidation) {
   cfg.straggler_count = 5;
   EXPECT_THROW(cfg.validate(), util::ConfigError);
   cfg.straggler_count = 2;
-  cfg.straggler_slowdown = 0.5;
-  EXPECT_THROW(cfg.validate(), util::ConfigError);
+  for (const double slowdown : {0.5, std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()}) {
+    cfg.straggler_slowdown = slowdown;
+    EXPECT_THROW(cfg.validate(), util::ConfigError) << slowdown;
+  }
   cfg.straggler_slowdown = 2.0;
   EXPECT_NO_THROW(cfg.validate());
 }

@@ -51,7 +51,8 @@ TEST(Disk, AccessTimeBreakdown) {
   d.seek_s = 0.001;
   d.startup_s = 0.01;
   // 200 MB over 10 chunks on 2 disks: 0.01 + 10*0.001 + 200e6/200e6.
-  EXPECT_NEAR(d.access_time(200e6, 10), 0.01 + 0.01 + 1.0, 1e-12);
+  EXPECT_NEAR(d.access_time(200e6, 10, d.effective_bandwidth()),
+              0.01 + 0.01 + 1.0, 1e-12);
 }
 
 TEST(Disk, MultipleDisksScaleBandwidth) {
@@ -63,7 +64,7 @@ TEST(Disk, MultipleDisksScaleBandwidth) {
 
 TEST(Disk, NegativeBytesThrow) {
   DiskSpec d;
-  EXPECT_THROW(d.access_time(-1.0, 0), util::Error);
+  EXPECT_THROW(d.access_time(-1.0, 0, d.effective_bandwidth()), util::Error);
 }
 
 TEST(Machine, ReferenceMachinesAreOrdered) {
@@ -207,8 +208,9 @@ class DiskChunksTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DiskChunksTest, TimeMonotoneInChunkCount) {
   DiskSpec d;
-  const double base = d.access_time(1e8, GetParam());
-  const double more = d.access_time(1e8, GetParam() + 1);
+  const auto chunks = static_cast<double>(GetParam());
+  const double base = d.access_time(1e8, chunks, d.effective_bandwidth());
+  const double more = d.access_time(1e8, chunks + 1, d.effective_bandwidth());
   EXPECT_GT(more, base);
 }
 
