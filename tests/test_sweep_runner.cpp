@@ -3,12 +3,16 @@
 // through a SweepRunner at pool sizes 1, 2 and 8 — RunResult timings and
 // serialized reduction objects alike (DESIGN.md §11). Each configuration
 // also borrows the sweep's pool for its own two-level reduction, so this
-// exercises both levels at once.
+// exercises both levels at once. The k-means job that perfbench's
+// fig-sweep workload times is pinned against a committed golden.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <fstream>
+#include <sstream>
 #include <vector>
 
+#include "apps/kmeans.h"
 #include "common.h"
 #include "util/serial.h"
 #include "util/thread_pool.h"
@@ -68,6 +72,40 @@ TEST(SweepRunner, Fig02StyleGridBitIdenticalAcrossPoolSizes) {
     const SweepRunner runner(&pool);
     EXPECT_EQ(reference, run_grid(runner)) << "sweep pool of " << n;
   }
+}
+
+TEST(SweepRunner, FigSweepKMeansJobMatchesGolden) {
+  // fig-sweep's job (1.4 GB virtual / 4 MB real, default seed, 10
+  // passes). The figure goldens print errors to two decimals and k-means'
+  // virtual time ignores the centres' values, so this pins the kernel's
+  // answers themselves: each run's final centres and per-pass objective at
+  // 17 significant digits, against tests/golden/kmeans_fig_sweep.txt.
+  const BenchApp app = make_kmeans_app(1400.0, 4.0, 20070326, 10);
+  std::ostringstream out;
+  out.precision(17);
+  for (const NodeConfig cfg : {NodeConfig{1, 1}, {2, 4}, {8, 16}}) {
+    freeride::JobSetup setup;
+    setup.dataset = app.dataset.get();
+    setup.data_cluster = sim::cluster_pentium_myrinet();
+    setup.compute_cluster = setup.data_cluster;
+    setup.wan = sim::wan_mbps(800.0);
+    setup.config.data_nodes = cfg.n;
+    setup.config.compute_nodes = cfg.c;
+    const auto kernel = app.factory();
+    freeride::Runtime().run(setup, *kernel);
+    const auto& km = dynamic_cast<const apps::KMeansKernel&>(*kernel);
+    out << cfg.n << '-' << cfg.c << " centers";
+    for (const double c : km.centers()) out << ' ' << c;
+    out << '\n' << cfg.n << '-' << cfg.c << " objective";
+    for (const double sse : km.objective_history()) out << ' ' << sse;
+    out << '\n';
+  }
+  std::ifstream golden(FGP_TEST_GOLDEN_DIR "/kmeans_fig_sweep.txt",
+                       std::ios::binary);
+  ASSERT_TRUE(golden) << "missing golden kmeans_fig_sweep.txt";
+  std::ostringstream expected;
+  expected << golden.rdbuf();
+  EXPECT_EQ(out.str(), expected.str());
 }
 
 }  // namespace
