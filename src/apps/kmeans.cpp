@@ -7,6 +7,130 @@
 #include "util/simd.h"
 
 namespace fgp::apps {
+namespace {
+
+/// Strict-less argmin step, as selects so it compiles branch-free: over
+/// centres in index order the first minimum wins and a NaN never does.
+[[gnu::always_inline]] inline void argmin_step(double dist, std::size_t c,
+                                               double& best,
+                                               std::size_t& best_c) {
+  const bool less = dist < best;
+  best = less ? dist : best;
+  best_c = less ? c : best_c;
+}
+
+/// The argmin steps of one centre block's lanes: centres c..c+3 in order.
+[[gnu::always_inline]] inline void argmin_block(
+    const util::simd::f64x4& dist, std::size_t c, double& best,
+    std::size_t& best_c) {
+  argmin_step(dist[0], c, best, best_c);
+  argmin_step(dist[1], c + 1, best, best_c);
+  argmin_step(dist[2], c + 2, best, best_c);
+  argmin_step(dist[3], c + 3, best, best_c);
+}
+
+/// One chunk's assignment pass: its points, the centres in both layouts,
+/// and the reduction object's fields.
+struct Assignment {
+  const double* x;
+  std::size_t count;
+  std::size_t d;
+  std::size_t k;
+  const double* centers;  ///< row-major [k x d]
+  const double* blocks;   ///< pack_center_blocks of the first k - k % 4
+  double* sums;
+  std::uint64_t* counts;
+  double* sse;
+};
+
+/// Assigns every point to its nearest centre and adds it to sums, counts
+/// and sse, in point order. Four-point tiles meet four centres per vector
+/// operation (squared_distance_4x4); the last k % 4 centres use
+/// squared_distance_x4 and the points past the last tile the serial
+/// helper. Every distance keeps the serial coordinate order, so the bits
+/// are the same at every ISA this body is compiled for.
+[[gnu::always_inline]] inline void assign(const Assignment& a) {
+  // Locals, not a's fields: the stores to counts could alias a size_t
+  // member, and sse could alias sums.
+  const std::size_t d = a.d;
+  const std::size_t k = a.k;
+  const std::size_t full = k - k % util::simd::kCenterBlock;
+  double* sums = a.sums;
+  std::uint64_t* counts = a.counts;
+  double sse = *a.sse;
+  const double* x = a.x;
+  constexpr double kInf = std::numeric_limits<double>::max();
+  constexpr std::size_t tile = util::simd::kPointTile;
+  std::size_t p = 0;
+  for (; p + tile <= a.count; p += tile, x += tile * d) {
+    // Named scalars, not arrays, so the argmin state stays in registers.
+    double best0 = kInf, best1 = kInf, best2 = kInf, best3 = kInf;
+    std::size_t bc0 = 0, bc1 = 0, bc2 = 0, bc3 = 0;
+    for (std::size_t c = 0; c < full; c += util::simd::kCenterBlock) {
+      util::simd::f64x4 dist[tile];
+      util::simd::squared_distance_4x4(x, a.blocks + c * d, d, dist);
+      argmin_block(dist[0], c, best0, bc0);
+      argmin_block(dist[1], c, best1, bc1);
+      argmin_block(dist[2], c, best2, bc2);
+      argmin_block(dist[3], c, best3, bc3);
+    }
+    const double* ctr = a.centers + full * d;
+    for (std::size_t c = full; c < k; ++c, ctr += d) {
+      double dist[tile];
+      util::simd::squared_distance_x4(x, d, ctr, d, dist);
+      argmin_step(dist[0], c, best0, bc0);
+      argmin_step(dist[1], c, best1, bc1);
+      argmin_step(dist[2], c, best2, bc2);
+      argmin_step(dist[3], c, best3, bc3);
+    }
+    util::simd::accumulate(sums + bc0 * d, x, d);
+    counts[bc0] += 1;
+    sse += best0;
+    util::simd::accumulate(sums + bc1 * d, x + d, d);
+    counts[bc1] += 1;
+    sse += best1;
+    util::simd::accumulate(sums + bc2 * d, x + 2 * d, d);
+    counts[bc2] += 1;
+    sse += best2;
+    util::simd::accumulate(sums + bc3 * d, x + 3 * d, d);
+    counts[bc3] += 1;
+    sse += best3;
+  }
+  for (; p < a.count; ++p, x += d) {
+    double best = kInf;
+    std::size_t best_c = 0;
+    const double* ctr = a.centers;
+    for (std::size_t c = 0; c < k; ++c, ctr += d)
+      argmin_step(util::simd::squared_distance_serial(x, ctr, d), c, best,
+                  best_c);
+    util::simd::accumulate(sums + best_c * d, x, d);
+    counts[best_c] += 1;
+    sse += best;
+  }
+  *a.sse = sse;
+}
+
+// The same body compiled twice, and a plain function pointer chosen once
+// per process; DESIGN §10 says why not the compiler's own multiversioning.
+void assign_baseline(const Assignment& a) { assign(a); }
+
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] void assign_avx2(const Assignment& a) { assign(a); }
+#endif
+
+using AssignFn = void (*)(const Assignment&);
+
+AssignFn choose_assign() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();  // this runs from a static initializer
+  if (__builtin_cpu_supports("avx2")) return assign_avx2;
+#endif
+  return assign_baseline;
+}
+
+const AssignFn assign_points = choose_assign();
+
+}  // namespace
 
 void KMeansObject::serialize(util::ByteWriter& w) const {
   w.put_vector(sums_);
@@ -26,6 +150,9 @@ KMeansKernel::KMeansKernel(KMeansParams params) : params_(std::move(params)) {
                     static_cast<std::size_t>(params_.k) * params_.dim,
                 "initial_centers must be k x dim");
   centers_ = params_.initial_centers;
+  center_blocks_ = util::simd::pack_center_blocks(
+      centers_.data(), static_cast<std::size_t>(params_.k),
+      static_cast<std::size_t>(params_.dim));
 }
 
 std::unique_ptr<freeride::ReductionObject> KMeansKernel::create_object() const {
@@ -42,53 +169,9 @@ sim::Work KMeansKernel::process_chunk(const repository::Chunk& chunk,
   const std::size_t count = points.size() / d;
   const std::size_t k = static_cast<std::size_t>(params_.k);
 
-  const double* centers = centers_.data();
-  double* sums = o.sums_.data();
-  const double* x = points.data();
-  // Four-point tiles: every centre row is loaded once per tile and the
-  // four per-point accumulation chains run independently. Per-point
-  // distance bits equal the serial scalar order (see util/simd.h).
-  std::size_t p = 0;
-  constexpr std::size_t tile = util::simd::kPointTile;
-  for (; p + tile <= count; p += tile, x += tile * d) {
-    // The four argmin chains are named scalars (not arrays) so they live
-    // in registers: a variable-indexed best[t] would force the distances
-    // through the stack on every centre and lose the tiling win.
-    constexpr double kInf = std::numeric_limits<double>::max();
-    double best0 = kInf, best1 = kInf, best2 = kInf, best3 = kInf;
-    std::size_t bc0 = 0, bc1 = 0, bc2 = 0, bc3 = 0;
-    const double* ctr = centers;
-    for (std::size_t c = 0; c < k; ++c, ctr += d) {
-      double dist[tile];
-      util::simd::squared_distance_x4(x, d, ctr, d, dist);
-      if (dist[0] < best0) { best0 = dist[0]; bc0 = c; }
-      if (dist[1] < best1) { best1 = dist[1]; bc1 = c; }
-      if (dist[2] < best2) { best2 = dist[2]; bc2 = c; }
-      if (dist[3] < best3) { best3 = dist[3]; bc3 = c; }
-    }
-    const double best[tile] = {best0, best1, best2, best3};
-    const std::size_t best_c[tile] = {bc0, bc1, bc2, bc3};
-    for (std::size_t t = 0; t < tile; ++t) {
-      util::simd::accumulate(sums + best_c[t] * d, x + t * d, d);
-      o.counts_[best_c[t]] += 1;
-      o.sse += best[t];
-    }
-  }
-  for (; p < count; ++p, x += d) {
-    double best = std::numeric_limits<double>::max();
-    std::size_t best_c = 0;
-    const double* ctr = centers;
-    for (std::size_t c = 0; c < k; ++c, ctr += d) {
-      const double dist = util::simd::squared_distance_serial(x, ctr, d);
-      if (dist < best) {
-        best = dist;
-        best_c = c;
-      }
-    }
-    util::simd::accumulate(sums + best_c * d, x, d);
-    o.counts_[best_c] += 1;
-    o.sse += best;
-  }
+  assign_points({points.data(), count, d, k, centers_.data(),
+                 center_blocks_.data(), o.sums_.data(), o.counts_.data(),
+                 &o.sse});
 
   // 3 flops per coordinate per distance evaluation, plus the accumulation.
   sim::Work w;
@@ -133,6 +216,7 @@ sim::Work KMeansKernel::global_reduce(freeride::ReductionObject& merged,
       centers_[c * d + j] = next;
     }
   }
+  center_blocks_ = util::simd::pack_center_blocks(centers_.data(), k, d);
   sse_history_.push_back(o.sse);
   ++passes_run_;
 

@@ -62,6 +62,9 @@ class KMeansKernel final : public freeride::ReductionKernel {
  private:
   KMeansParams params_;
   std::vector<double> centers_;
+  /// centers_ regrouped by util::simd::pack_center_blocks; rebuilt
+  /// whenever centers_ changes.
+  std::vector<double> center_blocks_;
   std::vector<double> sse_history_;
   int passes_run_ = 0;
 };
