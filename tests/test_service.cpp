@@ -9,9 +9,12 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -229,6 +232,24 @@ TEST(ShardedCatalog, BulkRegisterIsAllOrNothing) {
     EXPECT_EQ(cat.replica_count(), before);
     EXPECT_TRUE(cat.shard_for("ok")->replicas_of("ok").empty());
   }
+  // A bad entry after a batch that reaches every shard still leaves every
+  // shard's snapshot as it was.
+  std::vector<std::shared_ptr<const ReplicaShard>> snapshots;
+  for (std::size_t s = 0; s < cat.shard_count(); ++s)
+    snapshots.push_back(cat.shard(s));
+  std::vector<grid::Replica> batch;
+  std::vector<bool> reached(cat.shard_count(), false);
+  for (int i = 0; i < 200; ++i) {
+    batch.push_back({"ok-" + std::to_string(i), "repo-east", 2});
+    reached[shard_of(batch.back().dataset, cat.shard_count())] = true;
+  }
+  ASSERT_EQ(std::count(reached.begin(), reached.end(), true), 4);
+  batch.push_back({"bad", "nope", 1});
+  EXPECT_THROW(cat.register_replicas(std::move(batch)), util::Error);
+  EXPECT_EQ(cat.replica_count(), before);
+  for (std::size_t s = 0; s < cat.shard_count(); ++s)
+    EXPECT_EQ(cat.shard(s), snapshots[s]) << "shard " << s;
+  EXPECT_TRUE(cat.shard_for("ok-0")->replicas_of("ok-0").empty());
 }
 
 TEST(ShardedCatalog, EnumeratesTheExpectedCandidates) {
@@ -299,6 +320,64 @@ std::vector<std::vector<grid::Replica>> random_batches(
   return batches;
 }
 
+/// Names a sort on an 8-byte name prefix can get wrong: shared 8- and
+/// 16-byte prefixes, bytes >= 0x80 (char is signed on x86-64, while
+/// std::string compares bytes as unsigned), embedded NULs, and names that
+/// are proper prefixes of others. Every name gets a replica in one bulk
+/// batch, in shuffled order, then another one by one, then a third in a
+/// second bulk batch that merges into the existing leaves.
+std::vector<std::vector<grid::Replica>> prefix_tie_batches(
+    util::Rng& rng, std::vector<std::string>& names) {
+  using namespace std::string_literals;
+  names = {"abcdefgh"s,
+           "abcdefgh\0"s,
+           "abcdefghi"s,
+           "abcdefg"s,
+           "abcdefg\0"s,
+           "abcdefg\0\0"s,
+           "\0"s,
+           "\0\0"s,
+           "\x7f"s,
+           "\x80"s,
+           "\xff"s,
+           "\xff\xff\xff\xff\xff\xff\xff\xff"s,
+           "\xff\xff\xff\xff\xff\xff\xff\xff\xff"s,
+           "abcdefghijklmnop"s,
+           "abcdefghijklmnop\0"s,
+           "abcdefghijklmnopq"s};
+  const std::string prefixes[] = {"abcdefgh"s, "abcdefghijklmnop"s,
+                                  "abcdefg\x80"s, "abcdefg\x7f"s,
+                                  "\0\0\0\0\0\0\0\0"s,
+                                  "\xff\xff\xff\xff\xff\xff\xff\xff"s};
+  const char tail[] = {'\0', 'a', '\x7f', '\x80', '\xff'};
+  for (int i = 0; i < 120; ++i) {
+    std::string name = prefixes[rng.next_below(std::size(prefixes))];
+    for (std::uint64_t n = rng.next_below(4); n > 0; --n)
+      name += tail[rng.next_below(std::size(tail))];
+    names.push_back(std::move(name));
+  }
+  std::sort(names.begin(), names.end());
+  names.erase(std::unique(names.begin(), names.end()), names.end());
+
+  const auto replica = [&rng](const std::string& name) {
+    const bool east = rng.next_below(2) == 0;
+    return grid::Replica{name, east ? "repo-east" : "repo-west",
+                         1 + static_cast<int>(rng.next_below(east ? 8 : 4))};
+  };
+  const auto shuffled = [&rng, &names] {
+    std::vector<std::string> out = names;
+    for (std::size_t i = out.size(); i > 1; --i)
+      std::swap(out[i - 1], out[rng.next_below(i)]);
+    return out;
+  };
+  std::vector<std::vector<grid::Replica>> batches(1);
+  for (const auto& name : shuffled()) batches.front().push_back(replica(name));
+  for (const auto& name : shuffled()) batches.push_back({replica(name)});
+  batches.emplace_back();
+  for (const auto& name : shuffled()) batches.back().push_back(replica(name));
+  return batches;
+}
+
 TEST(ShardedCatalog, RandomRegistrationsFollowTheEnumerationContract) {
   // A publish merges the stably sorted batch into the leaves it lands in,
   // after their existing entries, and cuts a long leaf only at dataset
@@ -308,17 +387,33 @@ TEST(ShardedCatalog, RandomRegistrationsFollowTheEnumerationContract) {
   // within each dataset. The small input keeps each shard in one leaf;
   // the large one grows many leaves per shard, splits them under
   // publishes, and holds a "hot" dataset longer than any leaf may grow.
+  // The third registers prefix_tie_batches' names, whose order an 8-byte
+  // name prefix cannot settle alone.
   struct Input {
     std::uint64_t datasets;
     std::vector<std::vector<grid::Replica>> batches;
     std::vector<std::size_t> shard_counts;
     bool many_leaves;
+    /// Checked beside ds-0 … ds-<datasets − 1>.
+    std::vector<std::string> names;
   };
   util::Rng rng(20070326);
   std::vector<Input> inputs;
-  inputs.push_back({17, random_batches(rng, 17, 60, 3, 13), {1, 3, 16}, false});
   inputs.push_back(
-      {3000, random_batches(rng, 3000, 300, 4, 600, 40), {1, 3}, true});
+      {17, random_batches(rng, 17, 60, 3, 13), {1, 3, 16}, false, {}});
+  inputs.push_back(
+      {3000, random_batches(rng, 3000, 300, 4, 600, 40), {1, 3}, true, {}});
+  {
+    using namespace std::string_literals;
+    std::vector<std::string> names;
+    auto batches = prefix_tie_batches(rng, names);
+    // Never registered, each next to names that are.
+    for (const std::string& absent :
+         {"abcdefg\x01"s, "abcdefgh\0\x01"s, "abcdefghb"s, "\0\x01"s,
+          "\x80\0"s, "\xff\xff\xff\xff\xff\xff\xff\xff\x01"s})
+      names.push_back(absent);
+    inputs.push_back({0, std::move(batches), {1, 3}, false, std::move(names)});
+  }
 
   const auto before = [](const grid::Replica& a, const grid::Replica& b) {
     return a.dataset < b.dataset;
@@ -367,6 +462,7 @@ TEST(ShardedCatalog, RandomRegistrationsFollowTheEnumerationContract) {
       std::vector<std::string> datasets = {"em-data", "points", "hot"};
       for (std::uint64_t d = 0; d < input.datasets; ++d)
         datasets.push_back("ds-" + std::to_string(d));
+      datasets.insert(datasets.end(), input.names.begin(), input.names.end());
       // Never registered: before every name, inside the range, past it.
       for (const char* absent :
            {"absent", "ds-3000", "ds-17-absent", "zz-absent"})
@@ -444,6 +540,67 @@ TEST(ShardedCatalog, PublishCopiesOnlyTheTouchedLeaf) {
     EXPECT_EQ(held.size(), published);
   }
   EXPECT_TRUE(split) << "300 publishes to one dataset never cut its leaf";
+}
+
+TEST(ShardedCatalog, BulkLoadLayoutMatchesGolden) {
+  // select-serve's replica rule at 40,000 datasets over 64 shards, a
+  // second bulk batch that merges into the existing leaves and adds new
+  // datasets between them, then single publishes of new and existing
+  // datasets. Each shard's leaf sizes and an FNV-1a over its entries in
+  // order pin the layout against tests/golden/catalog_bulk_load.txt: an
+  // entry moved within a dataset, or a leaf cut elsewhere, changes a line.
+  constexpr std::size_t kDatasets = 40000;
+  constexpr std::size_t kSeed = 20070326;
+  const auto repo = [](std::size_t r) { return "repo-" + std::to_string(r); };
+  ShardedCatalog cat(64);
+  for (std::size_t r = 0; r < 8; ++r)
+    cat.register_repository_site({repo(r), sim::cluster_pentium_myrinet(), 8});
+  std::vector<grid::Replica> replicas;
+  for (std::size_t d = 0; d < kDatasets; ++d)
+    for (std::size_t r = 0; r <= d % 4; ++r)
+      replicas.push_back({"ds-" + std::to_string(d),
+                          repo((d + 3 * r + kSeed) % 8),
+                          1 << ((d + kSeed) % 3)});
+  cat.register_replicas(std::move(replicas));
+  std::vector<grid::Replica> more;
+  for (std::size_t d = 5; d < kDatasets + 4000; d += 7)
+    more.push_back({"ds-" + std::to_string(d), repo(d % 8), 2});
+  cat.register_replicas(std::move(more));
+  for (std::size_t i = 0; i < 200; ++i) {
+    cat.register_replica({"pub-" + std::to_string(i), repo(i % 8), 1});
+    cat.register_replica(
+        {"ds-" + std::to_string(i * 191 % kDatasets), repo((i + 1) % 8), 4});
+  }
+
+  std::ostringstream out;
+  for (std::size_t s = 0; s < cat.shard_count(); ++s) {
+    std::uint64_t h = 1469598103934665603ull;
+    const auto bytes = [&h](const void* data, std::size_t n) {
+      for (std::size_t i = 0; i < n; ++i) {
+        h ^= static_cast<const unsigned char*>(data)[i];
+        h *= 1099511628211ull;
+      }
+    };
+    out << "shard " << s << " leaves";
+    for (const auto& leaf : cat.shard(s)->leaves) {
+      out << ' ' << leaf->size();
+      for (const grid::Replica& r : *leaf) {
+        bytes(r.dataset.c_str(), r.dataset.size() + 1);
+        bytes(r.repository.c_str(), r.repository.size() + 1);
+        bytes(&r.storage_nodes, sizeof r.storage_nodes);
+      }
+    }
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(h));
+    out << " fnv1a " << hex << '\n';
+  }
+  std::ifstream golden(FGP_TEST_GOLDEN_DIR "/catalog_bulk_load.txt",
+                       std::ios::binary);
+  ASSERT_TRUE(golden) << "missing golden catalog_bulk_load.txt";
+  std::ostringstream expected;
+  expected << golden.rdbuf();
+  EXPECT_EQ(out.str(), expected.str());
 }
 
 // ---------------------------------------------------------------------------
