@@ -1,7 +1,10 @@
 // NEGATIVE fixture: accumulation shapes the §10 contract permits — the
 // blocked simd helpers, plain scalar statistics (serial order is already
-// pinned), squared scalars without indexed loads, and element-wise
-// writes into index-owned slots. Analyzed as "src/apps/fixture.cpp".
+// pinned), squared scalars without indexed loads, element-wise writes
+// into index-owned slots, a pointer to double stepped by an indexed
+// product, and a double stepped in a for-header ahead of an indexed loop
+// body. Analyzed as "src/apps/fixture.cpp".
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <vector>
@@ -38,6 +41,27 @@ void slot_axpy(std::vector<double>& out, const std::vector<double>& x,
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] += x[i] * y[i];  // element-wise into an owned slot: fine
   }
+}
+
+double strided_max(const double* blocks, const std::size_t* offsets,
+                   std::size_t n, std::size_t d) {
+  double best = 0.0;
+  for (std::size_t b = 0; b < n; ++b) {
+    const double* block = blocks;
+    block += offsets[b] * d;  // pointer arithmetic, not an accumulation
+    best = std::max(best, block[0]);
+  }
+  return best;
+}
+
+double sampled_max(const std::vector<double>& x, double step, std::size_t d) {
+  double best = 0.0;
+  for (std::size_t r = 0; r < x.size(); r += d) {
+    for (double t = 0.0; t < 1.0; t += step * d) {  // ends at the ')'
+      best = std::max(best, x[r] * t);
+    }
+  }
+  return best;
 }
 
 }  // namespace fgp

@@ -282,7 +282,7 @@ bool is_control_keyword(std::string_view s) {
 struct Decl {
   std::string name;
   std::size_t line = 0;
-  bool is_float = false;      // declared float/double
+  bool is_float = false;      // declared float/double, not a pointer to one
   bool is_atomic = false;     // std::atomic<...>
   bool is_unordered = false;  // std::unordered_map/set/... (or alias)
 };
@@ -321,6 +321,7 @@ void scan_declarations(const Tokens& toks, const std::vector<std::size_t>& match
     std::size_t j = i;
     std::vector<std::size_t> idents;  // identifier positions in the run
     bool saw_unordered = false, saw_atomic = false, saw_float = false;
+    bool saw_pointer = false;  // a '*' outside template arguments
     while (j < end) {
       const Token& u = toks[j];
       if (is_punct(u, "<")) {
@@ -354,6 +355,7 @@ void scan_declarations(const Tokens& toks, const std::vector<std::size_t>& match
         continue;
       }
       if (!type_ish(u)) break;
+      if (is_punct(u, "*")) saw_pointer = true;
       if (u.kind == TokKind::Ident) {
         idents.push_back(j);
         if (u.text.rfind("unordered_", 0) == 0) saw_unordered = true;
@@ -381,7 +383,9 @@ void scan_declarations(const Tokens& toks, const std::vector<std::size_t>& match
         Decl d;
         d.name = toks[name_pos].text;
         d.line = toks[name_pos].line;
-        d.is_float = saw_float;
+        // `const double* block` steps a pointer; only the first
+        // declarator carries the run's '*'.
+        d.is_float = saw_float && !saw_pointer;
         d.is_atomic = saw_atomic;
         d.is_unordered = saw_unordered;
         out.push_back(std::move(d));
@@ -1115,11 +1119,19 @@ FileAnalysis analyze_source(std::string_view src, const std::string& rel_path,
       if (float_locals.count(w.base) == 0) continue;
       // Dot-product shape: the accumulated expression multiplies indexed
       // loads. Scalar statistics (`sum += x`) stay legal — serial order.
+      // The expression ends at the statement's ';' or at a ')' it did not
+      // open: a for-header's step ends there, before the loop body.
       bool has_sub = false, has_mul = false;
+      std::size_t depth = 0;
       for (std::size_t k = i + 1; k < toks.size(); ++k) {
         const Token& u = toks[k];
         if (u.kind == TokKind::Punct) {
           if (u.text == ";") break;
+          if (u.text == "(") ++depth;
+          if (u.text == ")") {
+            if (depth == 0) break;
+            --depth;
+          }
           if (u.text == "[") has_sub = true;
           if (u.text == "*") has_mul = true;
         }
