@@ -1,5 +1,7 @@
 #include "service/profile_cache.h"
 
+#include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "core/ipc_probe.h"
@@ -65,9 +67,19 @@ std::shared_ptr<const CompiledApp> ProfileCache::resolve(
       compiled->site_predictors.emplace_back();  // unpredictable
     }
   }
-  for (const auto& repo : topo->repository_sites)
-    for (const auto& site : topo->compute_sites)
-      compiled->links.push_back(topo->find_link(repo.id, site.id));
+  for (const auto& repo : topo->repository_sites) {
+    std::size_t candidates = 0;
+    for (std::size_t s = 0; s < topo->compute_sites.size(); ++s) {
+      const auto& site = topo->compute_sites[s];
+      const sim::WanSpec* wan = topo->find_link(repo.id, site.id);
+      compiled->links.push_back(wan);
+      if (wan != nullptr && compiled->site_predictors[s].predictable())
+        candidates += static_cast<std::size_t>(
+            std::bit_width(static_cast<unsigned>(site.available_nodes)));
+    }
+    compiled->max_candidates_per_replica =
+        std::max(compiled->max_candidates_per_replica, candidates);
+  }
   entry.compiled = std::move(compiled);
   return entry.compiled;
 }

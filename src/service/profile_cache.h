@@ -66,6 +66,11 @@ struct CompiledApp {
   /// pair. Points into *topology, so a query reads a link by index
   /// instead of searching by name.
   std::vector<const sim::WanSpec*> links;
+  /// The most candidates one replica can yield: over repository sites, the
+  /// largest sum of node sweeps (1, 2, 4, … up to the site's nodes) across
+  /// the predictable sites the repository links to. A query sizes its
+  /// records from it once.
+  std::size_t max_candidates_per_replica = 0;
 };
 
 class ProfileCache {

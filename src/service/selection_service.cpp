@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/hdr.h"
@@ -16,13 +17,14 @@ namespace fgp::service {
 
 namespace {
 
-/// Everything one query needs for its (pure) evaluate phase.
+/// Everything one query needs for its (pure) evaluate phase. The batch
+/// holds the CompiledApp and the shard snapshot both pointers name until
+/// every query is answered.
 struct PreparedQuery {
   const SelectionQuery* query = nullptr;
-  std::shared_ptr<const CompiledApp> compiled;  ///< null: unknown app
-  std::shared_ptr<const ReplicaShard> shard;
-  std::size_t shard_index = 0;  ///< valid when needs_shard
-  bool needs_shard = false;
+  const CompiledApp* compiled = nullptr;
+  const ReplicaShard* shard = nullptr;
+  std::size_t shard_index = 0;  ///< valid when error is empty
   std::string error;  ///< non-empty: fail without evaluating
 };
 
@@ -57,7 +59,9 @@ SelectionResult evaluate(const PreparedQuery& p) {
   }
 
   const std::size_t site_count = topo.compute_sites.size();
+  // Sized once: the records never reallocate while they are costed.
   std::vector<Costed> costed;
+  costed.reserve(replicas.size() * compiled.max_candidates_per_replica);
   core::ProfileConfig target;
   target.dataset_bytes = q.dataset_bytes;
   for (const auto& replica : replicas) {
@@ -110,12 +114,18 @@ SelectionResult evaluate(const PreparedQuery& p) {
       return a.replica->storage_nodes < b.replica->storage_nodes;
     return a.nodes < b.nodes;
   };
+  // The sort moves 8-byte pointers, not the records they point at.
+  std::vector<const Costed*> order(costed.size());
+  for (std::size_t i = 0; i < costed.size(); ++i) order[i] = &costed[i];
   const std::size_t k =
-      std::min<std::size_t>(static_cast<std::size_t>(q.top_k), costed.size());
-  std::partial_sort(costed.begin(), costed.begin() + k, costed.end(), less);
+      std::min<std::size_t>(static_cast<std::size_t>(q.top_k), order.size());
+  std::partial_sort(order.begin(), order.begin() + k, order.end(),
+                    [&less](const Costed* a, const Costed* b) {
+                      return less(*a, *b);
+                    });
   out.ranked.reserve(k);
   for (std::size_t i = 0; i < k; ++i) {
-    const Costed& rec = costed[i];
+    const Costed& rec = *order[i];
     out.ranked.push_back(
         {{*rec.replica, topo.compute_sites[rec.site].id, rec.nodes, *rec.wan},
          rec.predicted,
@@ -167,10 +177,13 @@ std::vector<SelectionResult> SelectionService::query_batch(
   const auto topo = catalog_->topology();
   unsigned long long hits = 0;
   unsigned long long misses = 0;
-  // Each touched shard is loaded exactly once per batch, so every query on
-  // the same dataset ranks against the same snapshot even while writers
-  // publish. The map size is the batch's shard fan-out.
-  std::map<std::size_t, std::shared_ptr<const ReplicaShard>> shards_touched;
+  // One CompiledApp per distinct app name, held for the whole batch. The
+  // first query naming an app resolves it through the cache, which counts
+  // a hit or a miss; each later one counts the hit its own resolve would
+  // have counted against the same topology, and an unknown app counts
+  // nothing, so the counters read as if every query had resolved.
+  std::unordered_map<std::string_view, std::shared_ptr<const CompiledApp>>
+      apps;
   std::vector<PreparedQuery> prepared(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const SelectionQuery& q = queries[i];
@@ -188,30 +201,43 @@ std::vector<SelectionResult> SelectionService::query_batch(
       p.error = "query needs top_k >= 1";
       continue;
     }
-    p.compiled = cache_.resolve(q.app, topo, &hits, &misses);
+    const auto [app, first] = apps.try_emplace(q.app);
+    if (first)
+      app->second = cache_.resolve(q.app, topo, &hits, &misses);
+    else if (app->second != nullptr)
+      ++hits;
+    p.compiled = app->second.get();
     if (p.compiled == nullptr) {
       p.error = "no profile registered for app '" + q.app + "'";
       continue;
     }
     p.shard_index = shard_of(q.dataset, catalog_->shard_count());
-    p.needs_shard = true;
-    shards_touched.try_emplace(p.shard_index);
   }
   const double prepare_end = want_latency ? batch_clock.seconds() : 0.0;
 
   // --- shard-load phase: one snapshot per touched shard ------------------
-  for (auto& [index, snapshot] : shards_touched)
-    snapshot = catalog_->shard(index);
-  for (PreparedQuery& p : prepared)
-    if (p.needs_shard) p.shard = shards_touched.find(p.shard_index)->second;
+  // Each touched shard is loaded exactly once per batch, so every query on
+  // the same dataset ranks against the same snapshot even while writers
+  // publish. The snapshots it loads are the batch's shard fan-out.
+  std::vector<std::shared_ptr<const ReplicaShard>> shards(
+      catalog_->shard_count());
+  std::size_t fanout = 0;
+  for (PreparedQuery& p : prepared) {
+    if (!p.error.empty()) continue;
+    std::shared_ptr<const ReplicaShard>& snapshot = shards[p.shard_index];
+    if (snapshot == nullptr) {
+      snapshot = catalog_->shard(p.shard_index);
+      ++fanout;
+    }
+    p.shard = snapshot.get();
+  }
   const double shard_load_end = want_latency ? batch_clock.seconds() : 0.0;
 
   if (metrics_ != nullptr) {
     metrics_->add("service.queries", static_cast<double>(queries.size()));
     metrics_->add("service.cache_hits", static_cast<double>(hits));
     metrics_->add("service.cache_misses", static_cast<double>(misses));
-    metrics_->add("service.shard_fanout",
-                  static_cast<double>(shards_touched.size()));
+    metrics_->add("service.shard_fanout", static_cast<double>(fanout));
   }
 
   // --- parallel evaluate phase (indexed result slots) --------------------

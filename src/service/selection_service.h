@@ -12,10 +12,10 @@
 // Batch discipline (DESIGN.md §16):
 //
 //   1. A *serial* prepare phase, on the calling thread, captures one
-//      topology snapshot for the whole batch, resolves each query's
-//      CompiledApp through the cache, and loads each query's replica
-//      shard. All deterministic counters (service.queries, cache
-//      hits/misses, shard fan-out) are recorded here, in query order.
+//      topology snapshot for the whole batch, resolves each distinct app
+//      once through the cache, and loads each touched replica shard once.
+//      All deterministic counters (service.queries, cache hits/misses,
+//      shard fan-out) are recorded here, in query order.
 //   2. A *parallel* evaluate phase ranks each query's candidates into an
 //      indexed result slot via pool->parallel_for. Every input is an
 //      immutable snapshot captured in phase 1, and ties in predicted

@@ -1,7 +1,6 @@
 #include "service/sharded_catalog.h"
 
 #include <algorithm>
-#include <cstring>
 #include <iterator>
 #include <utility>
 
@@ -37,18 +36,6 @@ bool link_less(const Topology::Link& a, const Topology::Link& b) {
 
 bool by_dataset(const grid::Replica& a, const grid::Replica& b) {
   return a.dataset < b.dataset;
-}
-
-/// The first 8 bytes of `name`, big-endian and zero-padded. Where two
-/// names' prefixes differ they order the names as std::string does: bytes
-/// compare as unsigned, and a name that runs out first (a zero pad below
-/// a real byte) sorts first. Only equal prefixes need the full names.
-std::uint64_t name_prefix(std::string_view name) {
-  unsigned char bytes[8] = {};
-  std::memcpy(bytes, name.data(), std::min<std::size_t>(name.size(), 8));
-  std::uint64_t prefix = 0;
-  for (const unsigned char b : bytes) prefix = prefix << 8 | b;
-  return prefix;
 }
 
 /// Sorts `batch` into std::stable_sort(by_dataset)'s order: by name, equal
@@ -88,59 +75,89 @@ void sort_by_dataset(Leaf& batch) {
   }
 }
 
+/// Whether the last dataset of `shard`'s leaf `i` sorts before `dataset`,
+/// whose name_prefix is `prefix`. The directory settles it where the
+/// prefixes differ; only a tie reads the leaf's last name.
+bool leaf_ends_before(const ReplicaShard& shard, std::size_t i,
+                      std::string_view dataset, std::uint64_t prefix) {
+  const std::uint64_t last = shard.directory[i];
+  if (last != prefix) return last < prefix;
+  return std::string_view(shard.leaves[i]->back().dataset) < dataset;
+}
+
+/// Appends `leaf` to `shard` with its directory entry: the one place a
+/// leaf enters a snapshot, so the directory cannot drift from the leaves.
+void push_leaf(ReplicaShard& shard, LeafPtr leaf, std::uint64_t last_prefix) {
+  shard.leaves.push_back(std::move(leaf));
+  shard.directory.push_back(last_prefix);
+}
+
+/// Appends a leaf this publish built, keyed by its last dataset.
+void push_new_leaf(ReplicaShard& shard, LeafPtr leaf) {
+  const std::uint64_t last_prefix = name_prefix(leaf->back().dataset);
+  push_leaf(shard, std::move(leaf), last_prefix);
+}
+
 /// Appends the sorted `run` to `out`: whole when it holds at most
 /// 2 × kLeafEntries entries, else as leaves of about kLeafEntries. Each cut
 /// goes at the dataset boundary nearest kLeafEntries past the leaf's
 /// start, so no dataset spans two leaves and a dataset longer than the
 /// target gets a leaf of its own size.
-void append_leaves(std::vector<LeafPtr>& out, Leaf run) {
+void append_leaves(ReplicaShard& out, Leaf run) {
   auto first = run.begin();
   while (static_cast<std::size_t>(run.end() - first) > 2 * kLeafEntries) {
     const auto target = first + kLeafEntries;
     const auto [lo, hi] = std::equal_range(first, run.end(), *target,
                                            by_dataset);
     const auto cut = lo != first && target - lo <= hi - target ? lo : hi;
-    out.push_back(std::make_shared<const Leaf>(
-        std::make_move_iterator(first), std::make_move_iterator(cut)));
+    push_new_leaf(out, std::make_shared<const Leaf>(
+                           std::make_move_iterator(first),
+                           std::make_move_iterator(cut)));
     first = cut;
   }
   if (first == run.begin())
-    out.push_back(std::make_shared<const Leaf>(std::move(run)));
+    push_new_leaf(out, std::make_shared<const Leaf>(std::move(run)));
   else if (first != run.end())
-    out.push_back(std::make_shared<const Leaf>(
-        std::make_move_iterator(first), std::make_move_iterator(run.end())));
+    push_new_leaf(out, std::make_shared<const Leaf>(
+                           std::make_move_iterator(first),
+                           std::make_move_iterator(run.end())));
 }
 
 /// The snapshot after merging `batch` (sorted by sort_by_dataset) into
 /// `current`. Each entry goes to the first leaf whose last dataset is not
 /// less than its own, the last leaf taking the rest; a leaf that gets none
-/// is shared, one that gets some is merged with its existing entries first
-/// on ties and re-cut.
+/// is shared with its directory entry, one that gets some is merged with
+/// its existing entries first on ties and re-cut. Whether the next entry
+/// reaches a leaf is read from the directory, so a publish reads only the
+/// leaves it merges into.
 std::shared_ptr<const ReplicaShard> merge_publish(const ReplicaShard& current,
                                                   Leaf batch) {
   auto next = std::make_shared<ReplicaShard>();
   if (current.leaves.empty()) {
-    append_leaves(next->leaves, std::move(batch));
+    append_leaves(*next, std::move(batch));
     return next;
   }
   next->leaves.reserve(current.leaves.size() + 1);
+  next->directory.reserve(current.leaves.size() + 1);
   auto in = batch.begin();
   for (std::size_t i = 0; i < current.leaves.size(); ++i) {
     const LeafPtr& leaf = current.leaves[i];
-    const auto in_end =
-        i + 1 == current.leaves.size()
-            ? batch.end()
-            : std::upper_bound(in, batch.end(), leaf->back(), by_dataset);
-    if (in == in_end) {
-      next->leaves.push_back(leaf);
+    const bool last_leaf = i + 1 == current.leaves.size();
+    if (in == batch.end() ||
+        (!last_leaf && leaf_ends_before(current, i, in->dataset,
+                                        name_prefix(in->dataset)))) {
+      push_leaf(*next, leaf, current.directory[i]);
       continue;
     }
+    const auto in_end =
+        last_leaf ? batch.end()
+                  : std::upper_bound(in, batch.end(), leaf->back(), by_dataset);
     Leaf merged;
     merged.reserve(leaf->size() + static_cast<std::size_t>(in_end - in));
     std::merge(leaf->begin(), leaf->end(), std::make_move_iterator(in),
                std::make_move_iterator(in_end), std::back_inserter(merged),
                by_dataset);
-    append_leaves(next->leaves, std::move(merged));
+    append_leaves(*next, std::move(merged));
     in = in_end;
   }
   return next;
@@ -189,25 +206,29 @@ const sim::WanSpec* Topology::find_link(std::string_view repository,
 std::span<const grid::Replica> ReplicaShard::replicas_of(
     std::string_view dataset) const {
   // The only leaf that can hold `dataset` is the first whose last dataset
-  // is not less than it.
-  const auto leaf = std::lower_bound(
-      leaves.begin(), leaves.end(), dataset,
-      [](const LeafPtr& l, std::string_view d) {
-        return std::string_view(l->back().dataset) < d;
-      });
-  if (leaf == leaves.end()) return {};
-  const Leaf& replicas = **leaf;
-  const auto lo = std::lower_bound(
+  // is not less than it: a binary search over the directory.
+  const std::uint64_t prefix = name_prefix(dataset);
+  std::size_t lo = 0;
+  std::size_t hi = directory.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (leaf_ends_before(*this, mid, dataset, prefix))
+      lo = mid + 1;
+    else
+      hi = mid;
+  }
+  if (lo == leaves.size()) return {};
+  const Leaf& replicas = *leaves[lo];
+  const auto first = std::lower_bound(
       replicas.begin(), replicas.end(), dataset,
       [](const grid::Replica& r, std::string_view d) {
         return std::string_view(r.dataset) < d;
       });
-  const auto hi = std::upper_bound(
-      lo, replicas.end(), dataset,
-      [](std::string_view d, const grid::Replica& r) {
-        return d < std::string_view(r.dataset);
-      });
-  return {lo, hi};
+  // A dataset's run is a few entries: step over it instead of searching
+  // the rest of the leaf again.
+  auto last = first;
+  while (last != replicas.end() && last->dataset == dataset) ++last;
+  return {first, last};
 }
 
 std::size_t ReplicaShard::size() const {
@@ -219,6 +240,17 @@ std::size_t ReplicaShard::size() const {
 std::size_t shard_of(std::string_view dataset, std::size_t shard_count) {
   FGP_ASSERT(shard_count > 0);
   return static_cast<std::size_t>(fnv1a(dataset) % shard_count);
+}
+
+std::uint64_t name_prefix(std::string_view name) {
+  // copy() takes min(8, size) bytes, and none from an empty view, whose
+  // data() may be null.
+  char bytes[8] = {};
+  name.copy(bytes, sizeof bytes);
+  std::uint64_t prefix = 0;
+  for (const char b : bytes)
+    prefix = prefix << 8 | static_cast<unsigned char>(b);
+  return prefix;
 }
 
 ShardedCatalog::ShardedCatalog(std::size_t shards)

@@ -11,10 +11,12 @@
 //   * Replica entries are hash-partitioned over N shards by dataset name,
 //     each shard an *immutable* snapshot published through
 //     std::atomic<std::shared_ptr>: a sequence of small immutable leaves
-//     sorted by dataset, so a lookup is two binary searches. Readers load
-//     the pointer and never lock; a writer builds the next snapshot by
-//     copying only the leaves its entries land in, shares every other
-//     leaf with the previous snapshot, and swaps the pointer
+//     sorted by dataset, with a directory holding an 8-byte key of each
+//     leaf's last dataset, so a lookup is a binary search over the
+//     directory's contiguous keys and then one inside the leaf it picks.
+//     Readers load the pointer and never lock; a writer builds the next
+//     snapshot by copying only the leaves its entries land in, shares
+//     every other leaf with the previous snapshot, and swaps the pointer
 //     (copy-on-publish). A reader holding a snapshot keeps it and its
 //     leaves alive for as long as it needs — a concurrent publish can
 //     never pull data out from under an in-flight query.
@@ -79,6 +81,10 @@ struct Topology {
 struct ReplicaShard {
   using Leaf = std::vector<grid::Replica>;
   std::vector<std::shared_ptr<const Leaf>> leaves;
+  /// One entry per leaf: directory[i] is name_prefix of leaves[i]'s last
+  /// dataset, set by the publish that built the snapshot. A lookup
+  /// searches these keys and reads a leaf's last name only on a tie.
+  std::vector<std::uint64_t> directory;
   /// The contiguous run of replicas for `dataset` (empty span when none).
   std::span<const grid::Replica> replicas_of(std::string_view dataset) const;
   /// Replica entries across all leaves.
@@ -89,6 +95,12 @@ struct ReplicaShard {
 /// the name). Pure, so tests and fan-out accounting agree with the
 /// catalog.
 std::size_t shard_of(std::string_view dataset, std::size_t shard_count);
+
+/// The first 8 bytes of `name`, big-endian and zero-padded. Where two
+/// names' prefixes differ they order the names as std::string does: bytes
+/// compare as unsigned, and a name that runs out first (a zero pad below
+/// a real byte) sorts first. Only equal prefixes need the full names.
+std::uint64_t name_prefix(std::string_view name);
 
 class ShardedCatalog {
  public:
